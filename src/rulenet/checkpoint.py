@@ -11,7 +11,10 @@ File layout:
 
 The schema fingerprint is recomputed from the stored schema on load and
 compared against the stored value, so a manifest edited after saving is
-rejected rather than silently trusted.
+rejected rather than silently trusted. Every other way a manifest can be
+malformed (a missing key, a value of the wrong JSON type, a config or
+preprocessing state that no model fits) is also reported as a
+CheckpointError.
 """
 
 from __future__ import annotations
@@ -21,8 +24,23 @@ import struct
 
 import numpy as np
 
-from .data import DatasetSchema, Preprocessing, QuantileBins, TargetNormalizer
-from .errors import CheckpointError, FingerprintError, TruncationError, VersionError
+from .data import (
+    KIND_CATEGORICAL,
+    TASK_REGRESSION,
+    DatasetSchema,
+    Preprocessing,
+    QuantileBins,
+    TargetNormalizer,
+)
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    ContractError,
+    FingerprintError,
+    SchemaError,
+    TruncationError,
+    VersionError,
+)
 from .model import RuleNetConfig, RuleNetModel
 
 FORMAT_VERSION = 1
@@ -98,9 +116,12 @@ def load_checkpoint(path) -> RuleNetModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: manifest is not valid JSON: {e}") from e
 
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
+    _check_manifest(manifest, path)
 
     schema = DatasetSchema.from_json(manifest["schema"])
     stored_fp = manifest.get("schema_fingerprint")
@@ -116,18 +137,25 @@ def load_checkpoint(path) -> RuleNetModel:
     itemsize = np.dtype(code).itemsize
 
     pp = manifest["preprocessing"]
-    bins = {
-        name: QuantileBins(name, np.asarray(b["boundaries"], dtype=np.float64), b["n_quantiles"])
-        for name, b in pp["bins"].items()
-    }
-    normalizer = None
-    if pp["normalizer"] is not None:
-        nz = pp["normalizer"]
-        normalizer = TargetNormalizer(nz["mean"], nz["std"], nz["eps"])
-    prep = Preprocessing(schema=schema, bins=bins, normalizer=normalizer)
-    config = RuleNetConfig.from_json(manifest["config"])
-
-    model = RuleNetModel.build(prep, config, seed=0, dtype=np.dtype(dtype_name).type)
+    if set(pp["bins"]) != {c.name for c in schema.numerical_features}:
+        raise CheckpointError(f"{path}: quantile bins do not match the numerical features")
+    if (pp["normalizer"] is None) == (schema.task == TASK_REGRESSION):
+        raise CheckpointError(f"{path}: a target normalizer belongs to regression checkpoints only")
+    try:
+        schema.validate()
+        bins = {
+            name: QuantileBins(name, np.asarray(b["boundaries"], dtype=np.float64), b["n_quantiles"])
+            for name, b in pp["bins"].items()
+        }
+        normalizer = None
+        if pp["normalizer"] is not None:
+            nz = pp["normalizer"]
+            normalizer = TargetNormalizer(nz["mean"], nz["std"], nz["eps"])
+        prep = Preprocessing(schema=schema, bins=bins, normalizer=normalizer)
+        config = RuleNetConfig.from_json(manifest["config"])
+        model = RuleNetModel.build(prep, config, seed=0, dtype=np.dtype(dtype_name).type)
+    except (ConfigError, ContractError, SchemaError) as e:
+        raise CheckpointError(f"{path}: manifest describes no valid model: {e}") from e
     params = model.named_parameters()
 
     directory = {entry["name"]: entry for entry in manifest["tensors"]}
@@ -140,16 +168,72 @@ def load_checkpoint(path) -> RuleNetModel:
 
     blob_start = 8 + manifest_len
     for name, t in params.items():
-        entry = directory[name]
-        shape = tuple(entry["shape"])
-        if shape != t.data.shape:
+        shape, offset = directory[name].get("shape"), directory[name].get("offset")
+        if type(shape) is not list or tuple(shape) != t.data.shape:
             raise CheckpointError(
                 f"{path}: tensor {name!r} has shape {shape}, model expects {t.data.shape}"
             )
-        size = int(np.prod(shape, dtype=np.int64)) * itemsize if shape else itemsize
-        lo = blob_start + entry["offset"]
-        hi = lo + size
+        if type(offset) is not int or offset < 0:
+            raise CheckpointError(f"{path}: tensor {name!r} has offset {offset!r}")
+        lo = blob_start + offset
+        hi = lo + t.data.size * itemsize
         if hi > len(data):
             raise TruncationError(f"{path}: tensor {name!r} extends past end of file")
-        t.data = np.frombuffer(data[lo:hi], dtype=code).reshape(shape).copy()
+        t.data = np.frombuffer(data[lo:hi], dtype=code).reshape(t.data.shape).copy()
     return model
+
+
+def _check_manifest(m: dict, path) -> None:
+    """Raise CheckpointError unless every field the loader reads has its JSON type.
+
+    json.loads builds exact builtin types, so comparing type() suffices, and
+    it keeps true/false from passing for numbers.
+    """
+
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise CheckpointError(f"{path}: malformed manifest: {what}")
+
+    def of(value, *types) -> bool:
+        return type(value) in types
+
+    def all_of(values, *types) -> bool:
+        return type(values) is list and set(map(type, values)) <= set(types)
+
+    need(of(m.get("dtype", "float32"), str), "dtype is not a string")
+    need(of(m.get("schema_fingerprint"), str), "schema_fingerprint is not a string")
+    need(of(m.get("config"), dict), "config is not an object")
+
+    schema = m.get("schema")
+    need(of(schema, dict) and all_of(schema.get("columns"), dict), "schema has no column list")
+    need(of(schema.get("task"), str, type(None)), "schema task is not a string")
+    need(of(schema.get("n_classes"), int, type(None)), "schema n_classes is not an integer")
+    need(
+        all(
+            of(c.get("name"), str)
+            and of(c.get("kind"), str)
+            and of(c.get("numeric_like", False), bool)
+            and (all_of(c.get("vocab"), str) or (c.get("vocab") is None and c["kind"] != KIND_CATEGORICAL))
+            for c in schema["columns"]
+        ),
+        "a column lacks a name, a kind or a vocabulary",
+    )
+
+    pp = m.get("preprocessing")
+    need(of(pp, dict) and of(pp.get("bins"), dict), "preprocessing has no bins")
+    need(
+        all(
+            of(b, dict) and all_of(b.get("boundaries"), int, float) and of(b.get("n_quantiles"), int)
+            for b in pp["bins"].values()
+        ),
+        "quantile bins lack their boundaries or count",
+    )
+    need("normalizer" in pp, "preprocessing has no normalizer entry")
+    nz = pp["normalizer"]
+    need(
+        nz is None or (of(nz, dict) and all_of([nz.get(k) for k in ("mean", "std", "eps")], int, float)),
+        "normalizer lacks its mean, std or eps",
+    )
+
+    tensors = m.get("tensors")
+    need(all_of(tensors, dict) and all_of([e.get("name") for e in tensors], str), "a tensor has no name")

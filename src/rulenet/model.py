@@ -15,7 +15,8 @@ pools the encoder output (the no-decoder variant).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -26,6 +27,14 @@ from .embedding import FeatureEmbeddings, MaskingPolicy, RuleEmbeddings, rule_to
 from .errors import ConfigError, ContractError
 
 MODES = ("train", "eval", "rollout")
+
+# the values each RuleNetConfig field annotation admits (never a bool)
+_FIELD_TYPES = {
+    "int": numbers.Integral,
+    "float": numbers.Real,
+    "str": str,
+    "Optional[int]": (numbers.Integral, type(None)),
+}
 
 
 @dataclass
@@ -53,6 +62,10 @@ class RuleNetConfig:
     n_classes: Optional[int] = None
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.n_features < 1:
             raise ConfigError(f"n_features must be >= 1, got {self.n_features}")
         for name in ("n_rules", "embed_dim", "n_heads", "hidden_dim", "batch_size", "epochs"):
@@ -94,10 +107,13 @@ class RuleNetConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RuleNetConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
+        known = {f.name for f in fields(cls)}
         unknown = set(obj) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(obj)
+        if missing:
+            raise ConfigError(f"missing config keys: {sorted(missing)}")
         return cls(**obj)
 
     @classmethod
@@ -129,14 +145,7 @@ class Linear:
         )
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
-        shp = x.shape
-        n_out = self.weight.shape[1]
-        if len(shp) == 2:
-            return T.add(T.matmul(x, self.weight), self.bias)
-        # collapse leading axes so the product is a single large GEMM
-        flat = T.reshape(x, (-1, shp[-1]))
-        out = T.add(T.matmul(flat, self.weight), self.bias)
-        return T.reshape(out, shp[:-1] + (n_out,))
+        return T.linear(x, self.weight, self.bias)
 
     def parameters(self, prefix: str):
         yield f"{prefix}.weight", self.weight
@@ -189,8 +198,7 @@ class TransformerLayer:
         q = self._split_heads(self.wq(q_in))
         k = self._split_heads(self.wk(kv_in))
         v = self._split_heads(self.wv(kv_in))
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
-        probs = T.softmax(scores, axis=-1)
+        probs = T.attention_probs(q, k, 1.0 / math.sqrt(head_dim))
         ctx = T.matmul(probs, v)  # [rows, heads, tokens, head_dim]
         merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (rows, n_q_tokens, self.embed_dim))
         return self.wo(merged)

@@ -1,14 +1,17 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
 The design is a classic explicit tape: forward ops compute with numpy and,
-when a Tape is active, append an OpRecord (op name, input/output node ids,
-saved activations). backward() replays the records in reverse, accumulating
-vector-Jacobian products into leaf gradients.
+when a Tape is active, append an OpRecord (op name, input and output
+tensors, saved activations). backward() replays the records in reverse,
+accumulating vector-Jacobian products into leaf gradients.
 
-Only the operations the model actually needs are implemented. Everything
-runs in a single dtype per graph (float32 by default; float64 is used for
-gradient verification), and mixing dtypes raises instead of silently
-upcasting.
+Only the operations the model actually needs are implemented. Two of them
+are fused: `linear` (matmul plus bias over the collapsed leading axes) and
+`attention_probs` (softmax of scaled query-key scores). Each computes the
+same bits as the chain of primitives it replaces, but keeps one tape record
+and one buffer where the chain kept several. Everything runs in a single
+dtype per graph (float32 by default; float64 is used for gradient
+verification), and mixing dtypes raises instead of silently upcasting.
 """
 
 from __future__ import annotations
@@ -71,11 +74,9 @@ class Tensor:
 
 @dataclass
 class OpRecord:
-    """One taped operation: enough to audit order and to run its VJP."""
+    """One taped operation: enough to run its VJP."""
 
     op: str
-    input_ids: tuple
-    output_id: int
     inputs: tuple
     output: Tensor
     ctx: tuple
@@ -87,8 +88,6 @@ class Tape:
     def __init__(self):
         self.entries: list[OpRecord] = []
         self.consumed = False
-        self._ids: dict[int, int] = {}
-        self._next_id = 0
         self._produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
@@ -101,18 +100,8 @@ class Tape:
         _TLS.tape = None
         return False
 
-    def _node_id(self, t: Tensor) -> int:
-        nid = self._ids.get(id(t))
-        if nid is None:
-            nid = self._next_id
-            self._next_id += 1
-            self._ids[id(t)] = nid
-        return nid
-
     def record(self, op: str, inputs: tuple, output: Tensor, ctx: tuple) -> None:
-        input_ids = tuple(self._node_id(t) for t in inputs)
-        output_id = self._node_id(output)
-        self.entries.append(OpRecord(op, input_ids, output_id, inputs, output, ctx))
+        self.entries.append(OpRecord(op, inputs, output, ctx))
         self._produced.add(id(output))
 
 
@@ -230,14 +219,24 @@ def _scale_bwd(rec: OpRecord, g: np.ndarray):
 
 def gelu(x: Tensor) -> Tensor:
     # Exact form x * Phi(x) with the Gaussian CDF, not the tanh approximation.
-    return _emit("gelu", (x,), x.data * ndtr(x.data), (x.data,))
+    # Phi(x) is kept for the backward, which would otherwise evaluate it again.
+    phi = ndtr(x.data)
+    return _emit("gelu", (x,), x.data * phi, (x.data, phi))
 
 
 @_vjp("gelu")
 def _gelu_bwd(rec: OpRecord, g: np.ndarray):
-    (x,) = rec.ctx
-    pdf = np.exp(-0.5 * x * x) * np.asarray(_INV_SQRT_2PI, dtype=x.dtype)
-    return (g * (ndtr(x) + x * pdf),)
+    x, phi = rec.ctx
+    # g * (Phi + x * pdf) in one buffer, each step in the order of the
+    # unfused expression so the bits do not change
+    d = np.asarray(-0.5 * x)
+    d *= x
+    np.exp(d, out=d)
+    d *= np.asarray(_INV_SQRT_2PI, dtype=x.dtype)
+    d *= x
+    d += phi
+    d *= g
+    return (d,)
 
 
 # ---------------------------------------------------------------------------
@@ -279,25 +278,67 @@ def _matmul_bwd(rec: OpRecord, g: np.ndarray):
     return ga, gb
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b on the last axis of x, as one GEMM over the collapsed leading axes."""
+    if w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
+        raise DimensionError(
+            f"linear: weight must be [in, out] and bias [out], got {w.data.shape} and {b.data.shape}"
+        )
+    if x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
+        raise DimensionError(f"linear: input {x.data.shape} does not fit weight {w.data.shape}")
+    _check_same_dtype(x, w, "linear")
+    _check_same_dtype(x, b, "linear")
+    flat = x.data.reshape(-1, w.data.shape[0])
+    out = np.matmul(flat, w.data)
+    out += b.data
+    out = out.reshape(x.data.shape[:-1] + w.data.shape[1:])
+    return _emit("linear", (x, w, b), out, (flat, w.data))
+
+
+@_vjp("linear")
+def _linear_bwd(rec: OpRecord, g: np.ndarray):
+    flat, w = rec.ctx
+    x, w_t, b_t = rec.inputs
+    g = g.reshape(flat.shape[0], w.shape[1])
+    gx = np.matmul(g, _swap_last(w)).reshape(x.data.shape) if x.requires_grad else None
+    gw = np.matmul(_swap_last(flat), g) if w_t.requires_grad else None
+    gb = g.sum(axis=0) if b_t.requires_grad else None
+    return gx, gw, gb
+
+
 # ---------------------------------------------------------------------------
 # normalizers
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
+def _softmax_fwd(x: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Softmax of x along axis, into out (which may be x itself)."""
     # max-subtraction may hit -inf for astronomically spread inputs; exp
     # turns that into an exact 0, which is the right answer
     with np.errstate(over="ignore"):
-        z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
+        z = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+    return z
+
+
+def _softmax_vjp(g: np.ndarray, s: np.ndarray, axis: int) -> np.ndarray:
+    """(g - sum(g * s)) * s along axis, in one new buffer."""
+    out = g * s
+    inner = out.sum(axis=axis, keepdims=True)
+    np.subtract(g, inner, out=out)
+    out *= s
+    return out
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    s = _softmax_fwd(x.data, axis)
     return _emit("softmax", (x,), s, (s, axis))
 
 
 @_vjp("softmax")
 def _softmax_bwd(rec: OpRecord, g: np.ndarray):
     s, axis = rec.ctx
-    inner = (g * s).sum(axis=axis, keepdims=True)
-    return ((g - inner) * s,)
+    return (_softmax_vjp(g, s, axis),)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -337,6 +378,45 @@ def _layer_norm_bwd(rec: OpRecord, g: np.ndarray):
     ggain = (g * y).reshape(-1, y.shape[-1]).sum(axis=0) if gain_t.requires_grad else None
     gbias = g.reshape(-1, g.shape[-1]).sum(axis=0) if bias_t.requires_grad else None
     return gx, ggain, gbias
+
+
+# ---------------------------------------------------------------------------
+# attention
+
+
+def attention_probs(q: Tensor, k: Tensor, scale: float) -> Tensor:
+    """softmax(scale * q @ k^T) over the last axis, built in one buffer.
+
+    Bitwise equal to softmax(scale(matmul(q, transpose(k)))), but the raw
+    and the scaled scores are never kept: the VJP needs only q, k^T and the
+    probabilities.
+    """
+    if q.data.ndim < 2 or k.data.ndim != q.data.ndim or k.data.shape[:-2] != q.data.shape[:-2]:
+        raise DimensionError(
+            f"attention_probs: q and k need the same batch axes, got {q.data.shape} and {k.data.shape}"
+        )
+    if q.data.shape[-1] != k.data.shape[-1]:
+        raise DimensionError(
+            f"attention_probs: q and k differ in width, {q.data.shape} and {k.data.shape}"
+        )
+    _check_same_dtype(q, k, "attention_probs")
+    s = float(scale)
+    kt = _swap_last(k.data)
+    p = np.matmul(q.data, kt)
+    p *= np.asarray(s, dtype=p.dtype)
+    _softmax_fwd(p, -1, out=p)
+    return _emit("attention_probs", (q, k), p, (q.data, kt, p, s))
+
+
+@_vjp("attention_probs")
+def _attention_probs_bwd(rec: OpRecord, g: np.ndarray):
+    q, kt, p, s = rec.ctx
+    q_t, k_t = rec.inputs
+    gs = _softmax_vjp(g, p, -1)
+    gs *= np.asarray(s, dtype=gs.dtype)
+    gq = np.matmul(gs, _swap_last(kt)) if q_t.requires_grad else None
+    gk = _swap_last(np.matmul(_swap_last(q), gs)) if k_t.requires_grad else None
+    return gq, gk
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,13 @@ def _primitive_cases():
         ("gelu", T.gelu, [arr(3, 4)]),
         ("matmul", T.matmul, [arr(3, 4), arr(4, 5)]),
         ("matmul", T.matmul, [arr(2, 3, 4), arr(2, 4, 5)]),
+        ("linear", T.linear, [arr(3, 4), arr(4, 5), arr(5)]),
+        ("linear", T.linear, [arr(2, 3, 4), arr(4, 5), arr(5)]),
+        (
+            "attention_probs",
+            lambda q, k: T.attention_probs(q, k, 0.8),
+            [arr(2, 3, 4), arr(2, 5, 4)],
+        ),
         ("softmax", lambda x: T.softmax(x, axis=-1), [arr(3, 5)]),
         ("log_softmax", lambda x: T.log_softmax(x, axis=-1), [arr(3, 5)]),
         ("layer_norm", T.layer_norm, [arr(4, 6), arr(6), arr(6)]),

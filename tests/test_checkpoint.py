@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulenet.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from rulenet.errors import (
@@ -156,3 +158,87 @@ def test_unsupported_dtype_is_refused(saved):
     _rewrite_manifest(path, poison)
     with pytest.raises(CheckpointError, match="float16"):
         load_checkpoint(path)
+
+
+def _holder(manifest, path):
+    """The dict or list that holds the value at `path`, a non-empty key tuple."""
+    for key in path[:-1]:
+        manifest = manifest[key]
+    return manifest
+
+
+def _set(manifest, path, value):
+    _holder(manifest, path)[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda m: m.pop("schema"),
+        lambda m: _set(m, ("schema",), [m["schema"]]),
+        lambda m: m.pop("config"),
+        lambda m: m["config"].pop("n_features"),
+        lambda m: _set(m, ("config", "n_rules"), "many"),
+        lambda m: _set(m, ("preprocessing", "bins"), {}),
+        lambda m: _set(m, ("preprocessing", "normalizer"), None),
+        lambda m: _set(m, ("tensors", 0, "offset"), -8),
+    ],
+    ids=[
+        "no-schema", "list-schema", "no-config", "no-n_features", "string-n_rules",
+        "no-bins", "no-normalizer", "negative-offset",
+    ],
+)
+def test_malformed_manifest_is_a_checkpoint_error(saved, mutate):
+    _, _, path = saved
+    _rewrite_manifest(path, mutate)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_top_level_json_list_is_a_checkpoint_error(saved):
+    _, _, path = saved
+    payload = b"[1, 2]"
+    path.write_bytes(struct.pack("<Q", len(payload)) + payload)
+    with pytest.raises(CheckpointError, match="object"):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def manifest_and_blobs(tmp_path_factory):
+    model, _ = tiny_model(seed=33, dtype=np.float32, missing_rate=0.2)
+    path = tmp_path_factory.mktemp("fuzz") / "model.rnc"
+    save_checkpoint(model, path)
+    data = path.read_bytes()
+    (mlen,) = struct.unpack("<Q", data[:8])
+    return path, data[8 : 8 + mlen].decode("utf-8"), data[8 + mlen :]
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, prefix + (key,))
+
+
+_JSON_VALUES = st.sampled_from([None, True, 0, 2, -1, 1.5, "x", [], {}, [1, 2], {"k": 1}])
+
+
+@settings(max_examples=200, deadline=None)
+@given(where=st.integers(min_value=0), delete=st.booleans(), value=_JSON_VALUES)
+def test_mutated_manifest_loads_or_is_a_checkpoint_error(manifest_and_blobs, where, delete, value):
+    path, text, blobs = manifest_and_blobs
+    manifest = json.loads(text)
+    paths = list(_json_paths(manifest))
+    target = paths[where % len(paths)]
+    if not target:
+        manifest = value
+    elif delete:
+        del _holder(manifest, target)[target[-1]]
+    else:
+        _set(manifest, target, value)
+    payload = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(struct.pack("<Q", len(payload)) + payload + blobs)
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass

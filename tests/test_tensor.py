@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 import rulenet.tensor as T
 from rulenet.errors import ConfigError, ContractError, DimensionError, IndexRangeError
@@ -477,16 +480,114 @@ def test_tape_entries_topologically_ordered():
     rng = np.random.default_rng(15)
     a = _param(rng, 3, 3)
     b = _param(rng, 3, 3)
+    bias = _param(rng, 3)
     with T.Tape() as tape:
-        h = T.gelu(T.matmul(a, b))
+        h = T.gelu(T.linear(a, b, bias))
         out = T.softmax(T.add(h, b), axis=-1)
-        T.sum_all(T.mul(out, h))
+        T.sum_all(T.mul(out, T.attention_probs(h, a, 0.5)))
     assert tape.entries, "nothing recorded"
-    for rec in tape.entries:
-        assert all(i < rec.output_id for i in rec.input_ids)
+    outputs = [rec.output for rec in tape.entries]
+    for i, rec in enumerate(tape.entries):
+        for t in rec.inputs:
+            if any(t is o for o in outputs):
+                assert any(t is o for o in outputs[:i]), f"{rec.op} reads a later output"
 
 
 def test_no_recording_without_tape():
     x = T.Tensor(np.ones(3), requires_grad=True)
     out = T.scale(x, 2.0)
     assert out.requires_grad is False
+
+
+# ---------------------------------------------------------------------------
+# fused ops against the compositions they replace: the same bits, forward
+# and backward
+
+
+def _taped(build, leaves, seed=99):
+    """build()'s output and each leaf's gradient of sum(output * w), w fixed by seed."""
+    for p in leaves:
+        p.grad = None
+    with T.Tape() as tape:
+        out = build()
+        w = np.random.default_rng(seed).standard_normal(out.shape)
+        loss = T.sum_all(T.mul(out, T.Tensor(w, dtype=out.dtype)))
+    T.backward(tape, loss)
+    return out.data, [p.grad for p in leaves]
+
+
+def _assert_bitwise(got, want):
+    (out, grads), (ref_out, ref_grads) = got, want
+    assert out.dtype == ref_out.dtype
+    assert np.array_equal(out, ref_out)
+    for g, ref in zip(grads, ref_grads, strict=True):
+        assert g is not None and g.dtype == ref.dtype
+        assert np.array_equal(g, ref)
+
+
+def _tensor(rng, shape, dtype, grad=True):
+    return T.Tensor(rng.standard_normal(shape), requires_grad=grad, dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(6, 5), (3, 4, 5)])
+def test_linear_matches_matmul_add(dtype, shape):
+    rng = np.random.default_rng(20)
+    x = _tensor(rng, shape, dtype)
+    w = _tensor(rng, (5, 7), dtype)
+    b = _tensor(rng, (7,), dtype)
+
+    def composed():
+        if len(shape) == 2:
+            return T.add(T.matmul(x, w), b)
+        flat = T.reshape(x, (-1, shape[-1]))
+        return T.reshape(T.add(T.matmul(flat, w), b), shape[:-1] + (7,))
+
+    fused = _taped(lambda: T.linear(x, w, b), [x, w, b])
+    assert fused[0].shape == shape[:-1] + (7,)
+    _assert_bitwise(fused, _taped(composed, [x, w, b]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_probs_matches_composition(dtype):
+    rng = np.random.default_rng(21)
+    rows, n_q, n_kv, heads, head_dim = 3, 4, 6, 2, 5
+    xq = _tensor(rng, (rows, n_q, heads * head_dim), dtype)
+    xk = _tensor(rng, (rows, n_kv, heads * head_dim), dtype)
+    s = 1.0 / math.sqrt(head_dim)
+
+    def split_heads(t):  # non-contiguous [rows, heads, tokens, head_dim] view
+        r, n, _ = t.shape
+        return T.transpose(T.reshape(t, (r, n, heads, head_dim)), (0, 2, 1, 3))
+
+    def composed():
+        k_t = T.transpose(split_heads(xk), (0, 1, 3, 2))
+        return T.softmax(T.scale(T.matmul(split_heads(xq), k_t), s), axis=-1)
+
+    fused = _taped(lambda: T.attention_probs(split_heads(xq), split_heads(xk), s), [xq, xk])
+    assert fused[0].shape == (rows, heads, n_q, n_kv)
+    _assert_bitwise(fused, _taped(composed, [xq, xk]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_matches_closed_form(dtype):
+    rng = np.random.default_rng(22)
+    x = T.Tensor(3.0 * rng.standard_normal((7, 9)), requires_grad=True, dtype=dtype)
+    out, (gx,) = _taped(lambda: T.gelu(x), [x], seed=5)
+    g = np.random.default_rng(5).standard_normal(out.shape).astype(dtype)
+    xd = x.data
+    pdf = np.exp(-0.5 * xd * xd) * np.asarray(1.0 / math.sqrt(2.0 * math.pi), dtype=dtype)
+    assert np.array_equal(out, xd * ndtr(xd))
+    assert np.array_equal(gx, g * (ndtr(xd) + xd * pdf))
+
+
+def test_fused_op_shape_errors():
+    x = T.Tensor(np.zeros((2, 3)))
+    with pytest.raises(DimensionError):
+        T.linear(x, T.Tensor(np.zeros((4, 5))), T.Tensor(np.zeros(5)))
+    with pytest.raises(DimensionError):
+        T.linear(x, T.Tensor(np.zeros((3, 5))), T.Tensor(np.zeros(4)))
+    with pytest.raises(DimensionError):
+        T.attention_probs(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((2, 3, 5))), 1.0)
+    with pytest.raises(DimensionError):
+        T.attention_probs(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((3, 3, 4))), 1.0)
