@@ -153,7 +153,8 @@ def load_checkpoint(path) -> RuleNetModel:
             normalizer = TargetNormalizer(nz["mean"], nz["std"], nz["eps"])
         prep = Preprocessing(schema=schema, bins=bins, normalizer=normalizer)
         config = RuleNetConfig.from_json(manifest["config"])
-        model = RuleNetModel.build(prep, config, seed=0, dtype=np.dtype(dtype_name).type)
+        dtype = np.dtype(dtype_name).type
+        model = RuleNetModel(prep, config, _Unfilled(dtype), dtype)
     except (ConfigError, ContractError, SchemaError) as e:
         raise CheckpointError(f"{path}: manifest describes no valid model: {e}") from e
     params = model.named_parameters()
@@ -179,8 +180,21 @@ def load_checkpoint(path) -> RuleNetModel:
         hi = lo + t.data.size * itemsize
         if hi > len(data):
             raise TruncationError(f"{path}: tensor {name!r} extends past end of file")
-        t.data = np.frombuffer(data[lo:hi], dtype=code).reshape(t.data.shape).copy()
+        t.data = np.frombuffer(data, code, t.data.size, lo).reshape(t.data.shape).copy()
     return model
+
+
+class _Unfilled:
+    """Stands in for the init rng: allocates each parameter without drawing
+    it, since the loader fills every one from the file."""
+
+    def __init__(self, dtype):
+        self.dtype = dtype
+
+    def _empty(self, *_, size):
+        return np.empty(size, self.dtype)
+
+    normal = uniform = _empty
 
 
 def _check_manifest(m: dict, path) -> None:

@@ -13,6 +13,12 @@ Conventions: UTF-8, comma delimiter, first row is the header, empty string
 means missing. A column is numerical iff every non-empty cell parses as a
 float; otherwise categorical. Cells that parse to NaN or infinity are kept
 numerical but flagged missing (the model's masking channel handles them).
+
+Cells are parsed a column at a time, with Python `float()` semantics
+(surrounding whitespace, `1_000`, `nan`, `inf` and `1e400` all parse), and
+each cell once per stage: schema inference, fitting, encoding. A cell that
+does not parse is located only on the error path, so errors still name the
+first offending column and row.
 """
 
 from __future__ import annotations
@@ -22,11 +28,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, FitError, IngestionError, SchemaError
+from .errors import ConfigError, ContractError, FitError, IngestionError, SchemaError
 
 KIND_NUMERICAL = "numerical"
 KIND_CATEGORICAL = "categorical"
@@ -182,21 +188,43 @@ class Table:
         return cls(list(header), cols)
 
     def select(self, indices: np.ndarray) -> "Table":
-        return Table(
-            self.order,
-            {name: [col[i] for i in indices] for name, col in self.columns.items()},
-        )
+        idx = np.asarray(indices).tolist()
+        return Table(self.order, {name: [col[i] for i in idx] for name, col in self.columns.items()})
 
     def column(self, name: str) -> list:
         return self.columns[name]
 
 
-def _parses_as_float(cell: str) -> bool:
+def _parse_numeric(cells: list) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Parse one column -> (float64 values, 0 where missing; missing mask).
+
+    An empty cell, NaN and infinity count as missing. None if float()
+    rejects a cell; `_first_fault` then finds which.
+    """
     try:
-        float(cell)
-        return True
+        values = np.array([math.nan if c is None else float(c) for c in cells], dtype=np.float64)
     except ValueError:
-        return False
+        return None
+    missing = ~np.isfinite(values)
+    values[missing] = 0.0
+    return values, missing
+
+
+def _first_fault(cells: list, allow_missing: bool) -> tuple[int, bool]:
+    """Error path of `_parse_numeric`: (row, is_missing) of the first cell
+    that float() rejects or, unless allow_missing, that counts as missing."""
+    for i, c in enumerate(cells):
+        try:
+            finite = c is not None and math.isfinite(float(c))
+        except ValueError:
+            return i, False
+        if not (finite or allow_missing):
+            return i, True
+    raise ContractError("column has no faulty cell")
+
+
+def _not_numeric(label: str, cells: list, row: int) -> SchemaError:
+    return SchemaError(f"{label}, row {row}: {cells[row]!r} is not numeric")
 
 
 def read_table(path) -> Table:
@@ -209,16 +237,18 @@ def read_table(path) -> Table:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader)
-            except StopIteration:
-                raise IngestionError(f"{path}: empty file") from None
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise IngestionError(
-                        f"{path}: line {lineno} has {len(row)} fields, header has {len(header)}"
-                    )
-                rows.append(row)
+                header = next(reader, None)
+                if header is None:
+                    raise IngestionError(f"{path}: empty file")
+                rows = []
+                for lineno, row in enumerate(reader, start=2):
+                    if len(row) != len(header):
+                        raise IngestionError(
+                            f"{path}: line {lineno} has {len(row)} fields, header has {len(header)}"
+                        )
+                    rows.append(row)
+            except csv.Error as e:
+                raise IngestionError(f"{path}: line {reader.line_num}: {e}") from e
     except OSError as e:
         raise IngestionError(f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:
@@ -230,7 +260,8 @@ def read_table(path) -> Table:
         dupes = sorted({h for h in header if header.count(h) > 1})
         raise IngestionError(f"{path}: duplicate column names {dupes}")
 
-    return Table.from_rows(header, rows)
+    # csv yields str cells: transpose once, "" -> None
+    return Table(header, {name: [c or None for c in col] for name, col in zip(header, zip(*rows))})
 
 
 def load_csv(
@@ -265,12 +296,14 @@ def infer_schema(
     hinted_targets = [n for n, k in hint.items() if k == KIND_TARGET]
     if len(hinted_targets) > 1:
         raise SchemaError(f"schema hint names multiple targets: {hinted_targets}")
+    if not table.order:
+        raise SchemaError("table has no columns")
     target_name = hinted_targets[0] if hinted_targets else table.order[-1]
 
     columns = []
     for name in table.order:
-        cells = [c for c in table.column(name) if c is not None]
-        numeric_like = bool(cells) and all(_parses_as_float(c) for c in cells)
+        cells = table.column(name)
+        numeric_like = cells.count(None) < len(cells) and _parse_numeric(cells) is not None
         if name == target_name:
             kind = KIND_TARGET
         elif name in hint:
@@ -377,14 +410,29 @@ class Preprocessing:
     normalizer: Optional[TargetNormalizer]
 
 
-def _numeric_cell(cell) -> tuple[float, bool]:
-    """Parse one numerical cell -> (value, missing)."""
-    if cell is None:
-        return 0.0, True
-    v = float(cell)
-    if not math.isfinite(v):
-        return 0.0, True
-    return v, False
+def _column(table: Table, name: str) -> list:
+    if name not in table.columns:
+        raise SchemaError(f"table lacks expected column {name!r}")
+    return table.column(name)
+
+
+def _numeric_feature(name: str, cells: list) -> tuple[np.ndarray, np.ndarray]:
+    parsed = _parse_numeric(cells)
+    if parsed is None:
+        raise _not_numeric(f"column {name!r}", cells, _first_fault(cells, True)[0])
+    return parsed
+
+
+def _regression_target(name: str, cells: list, missing_value: Callable[[int], str]) -> np.ndarray:
+    """A regression target column as float64; the first missing cell raises
+    SchemaError(missing_value(row)), unless a cell float() rejects comes first."""
+    parsed = _parse_numeric(cells)
+    if parsed is not None and not parsed[1].any():
+        return parsed[0]
+    row, is_missing = _first_fault(cells, False)
+    if is_missing:
+        raise SchemaError(missing_value(row))
+    raise _not_numeric(f"target column {name!r}", cells, row)
 
 
 def fit_preprocessing(schema: DatasetSchema, train: Table, n_quantiles: int) -> Preprocessing:
@@ -395,9 +443,8 @@ def fit_preprocessing(schema: DatasetSchema, train: Table, n_quantiles: int) -> 
     for col in schema.columns:
         cells = train.column(col.name)
         if col.kind == KIND_NUMERICAL:
-            parsed = [_numeric_cell(c) for c in cells]
-            vals = np.array([v for v, miss in parsed if not miss], dtype=np.float64)
-            bins[col.name] = fit_quantiles(vals, n_quantiles, feature=col.name)
+            vals, missing = _numeric_feature(col.name, cells)
+            bins[col.name] = fit_quantiles(vals[~missing], n_quantiles, feature=col.name)
             fitted_cols.append(ColumnSpec(col.name, col.kind, col.numeric_like, None))
         elif col.kind == KIND_CATEGORICAL:
             vocab: list[str] = []
@@ -429,13 +476,10 @@ def fit_preprocessing(schema: DatasetSchema, train: Table, n_quantiles: int) -> 
     normalizer = None
     if schema.task == TASK_REGRESSION:
         tcol = schema.target.name
-        raw = []
-        for c in train.column(tcol):
-            v, missing = _numeric_cell(c)
-            if missing:
-                raise SchemaError(f"target column {tcol!r} has missing values")
-            raw.append(v)
-        normalizer = fit_target_normalizer(np.asarray(raw))
+        y = _regression_target(
+            tcol, train.column(tcol), lambda row: f"target column {tcol!r} has missing values"
+        )
+        normalizer = fit_target_normalizer(y)
 
     fitted = DatasetSchema(fitted_cols, task=schema.task, n_classes=n_classes)
     fitted.validate()
@@ -467,46 +511,34 @@ def encode(prep: Preprocessing, table: Table) -> EncodedSplit:
     numeric = np.zeros((n, len(num_cols)), dtype=np.float64)
     missing = np.zeros((n, len(num_cols)), dtype=bool)
     for j, col in enumerate(num_cols):
-        if col.name not in table.columns:
-            raise SchemaError(f"table lacks expected column {col.name!r}")
-        for i, cell in enumerate(table.column(col.name)):
-            if cell is not None and not _parses_as_float(cell):
-                raise SchemaError(
-                    f"column {col.name!r}, row {i}: {cell!r} is not numeric"
-                )
-            numeric[i, j], missing[i, j] = _numeric_cell(cell)
+        numeric[:, j], missing[:, j] = _numeric_feature(col.name, _column(table, col.name))
 
     categorical = np.zeros((n, len(cat_cols)), dtype=np.int64)
     for j, col in enumerate(cat_cols):
-        if col.name not in table.columns:
-            raise SchemaError(f"table lacks expected column {col.name!r}")
         lookup = {cat: i for i, cat in enumerate(col.vocab)}
-        unk, masked = col.unk_id, col.masked_id
-        for i, cell in enumerate(table.column(col.name)):
-            categorical[i, j] = masked if cell is None else lookup.get(cell, unk)
+        lookup[None] = col.masked_id
+        unk = col.unk_id
+        categorical[:, j] = [lookup.get(c, unk) for c in _column(table, col.name)]
 
     target = None
     tname = schema.target.name
     if tname in table.columns:
         cells = table.column(tname)
         if schema.task == TASK_REGRESSION:
-            target = np.empty(n, dtype=np.float64)
-            for i, cell in enumerate(cells):
-                v, miss = _numeric_cell(cell)
-                if miss:
-                    raise SchemaError(f"target column {tname!r}, row {i}: missing value")
-                target[i] = v
+            target = _regression_target(
+                tname, cells, lambda row: f"target column {tname!r}, row {row}: missing value"
+            )
         else:
             lookup = {lab: i for i, lab in enumerate(schema.target.vocab)}
-            target = np.empty(n, dtype=np.int64)
-            for i, cell in enumerate(cells):
-                if cell is None:
+            ids = [lookup.get(c, -1) for c in cells]
+            if -1 in ids:
+                i = ids.index(-1)
+                if cells[i] is None:
                     raise SchemaError(f"target column {tname!r}, row {i}: missing value")
-                if cell not in lookup:
-                    raise SchemaError(
-                        f"target column {tname!r}, row {i}: label {cell!r} unseen in train"
-                    )
-                target[i] = lookup[cell]
+                raise SchemaError(
+                    f"target column {tname!r}, row {i}: label {cells[i]!r} unseen in train"
+                )
+            target = np.array(ids, dtype=np.int64)
 
     return EncodedSplit(numeric, missing, categorical, target, n)
 

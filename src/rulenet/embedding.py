@@ -55,21 +55,15 @@ def init_vector(rng: np.random.Generator, embed_dim: int, dtype) -> T.Tensor:
 # segment location
 
 
-def locate_segment(x: float, bins: QuantileBins) -> tuple[int, float]:
-    """Find the quantile segment of x: (index i, fraction f in [0, 1]).
+def locate_segments(values: np.ndarray, bins: QuantileBins) -> tuple[np.ndarray, np.ndarray]:
+    """Find each value's quantile segment: (indices i, fractions f in [0, 1]).
 
     i is the largest index with q_i <= x, clamped to a valid segment;
     out-of-range values clamp to the outermost segment with f 0 or 1;
-    zero-width segments give f = 0.
+    zero-width segments give f = 0. NaN raises ValueError.
     """
-    if math.isnan(x):
+    if np.isnan(values).any():
         raise ValueError(f"cannot locate NaN in quantile bins for {bins.feature!r}")
-    idx, frac = locate_segments(np.array([x], dtype=np.float64), bins)
-    return int(idx[0]), float(frac[0])
-
-
-def locate_segments(values: np.ndarray, bins: QuantileBins) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized locate_segment over finite values."""
     b = bins.boundaries
     idx = np.searchsorted(b, values, side="right") - 1
     idx = np.clip(idx, 0, bins.n_quantiles - 2)
@@ -110,7 +104,8 @@ class NumericalFeatureEmbedding:
         """Embed one column of raw values -> [rows, embed_dim].
 
         Missing entries always take the masked vector; stochastic mode also
-        masks each entry independently with probability `rate`.
+        masks each entry independently with probability `rate`. A NaN that
+        is not masked raises ValueError.
         """
         masked = np.asarray(missing, dtype=bool)
         if stochastic:
@@ -146,35 +141,6 @@ class CategoricalFeatureEmbedding:
             swap = _mask_draws(rate, len(ids), rng)
             ids = np.where(swap, self.masked_id, ids)
         return T.gather(self.table, np.asarray(ids), label=self.name)
-
-
-def embed_numerical(
-    x: float,
-    feat: NumericalFeatureEmbedding,
-    policy: MaskingPolicy,
-    train_mode: bool,
-    rng: Optional[np.random.Generator] = None,
-) -> T.Tensor:
-    """Single-value convenience wrapper -> [embed_dim]."""
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError(f"cannot embed NaN for feature {feat.name!r}")
-    out = feat.embed_column(
-        np.array([x]), np.array([False]), policy.mask_rate, train_mode, rng
-    )
-    return T.reshape(out, (-1,))
-
-
-def embed_categorical(
-    token_id: int,
-    feat: CategoricalFeatureEmbedding,
-    policy: MaskingPolicy,
-    train_mode: bool,
-    rng: Optional[np.random.Generator] = None,
-) -> T.Tensor:
-    """Single-id convenience wrapper -> [embed_dim]."""
-    out = feat.embed_column(np.array([token_id]), policy.mask_rate, train_mode, rng)
-    return T.reshape(out, (-1,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,30 @@
 """Independent oracles shared by the test suite.
 
 Central finite differences here are written directly against numpy so they
-share no code with the library's backward pass.
+share no code with the library's backward pass. The ingest references parse
+cell by cell, the way rulenet.data did before it parsed a column at a time.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from rulenet.data import (
+    KIND_CATEGORICAL,
+    KIND_NUMERICAL,
+    KIND_TARGET,
+    TASK_CLASSIFICATION,
+    TASK_REGRESSION,
+    ColumnSpec,
+    DatasetSchema,
+    EncodedSplit,
+    Preprocessing,
+    fit_quantiles,
+    fit_target_normalizer,
+)
+from rulenet.errors import SchemaError
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -42,3 +60,153 @@ def two_pass_rmse(pred: np.ndarray, target: np.ndarray) -> float:
     """Brute-force RMSE: explicit residuals, then sqrt of their mean square."""
     residuals = [float(p) - float(t) for p, t in zip(pred, target)]
     return float(np.sqrt(sum(r * r for r in residuals) / len(residuals)))
+
+
+# ---------------------------------------------------------------------------
+# ingest: per-cell references for infer_schema, fit_preprocessing and encode
+#
+# They take valid schema hints only. Where a cell that float() rejects used to
+# escape as float()'s bare ValueError (a hinted numerical column in fitting, a
+# regression target), they raise the SchemaError that encode raises for a
+# numerical feature column, naming the column and the row.
+
+
+def _parses_as_float(cell: str) -> bool:
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
+def _numeric_cell(label: str, row: int, cell) -> tuple[float, bool]:
+    """Parse one numerical cell -> (value, missing)."""
+    if cell is None:
+        return 0.0, True
+    if not _parses_as_float(cell):
+        raise SchemaError(f"{label}, row {row}: {cell!r} is not numeric")
+    v = float(cell)
+    if not math.isfinite(v):
+        return 0.0, True
+    return v, False
+
+
+def ref_infer_schema(table, schema_hint=None, task=None) -> DatasetSchema:
+    hint = dict(schema_hint or {})
+    target_name = next((n for n, k in hint.items() if k == KIND_TARGET), table.order[-1])
+    columns = []
+    for name in table.order:
+        cells = [c for c in table.column(name) if c is not None]
+        numeric_like = bool(cells) and all(_parses_as_float(c) for c in cells)
+        if name == target_name:
+            kind = KIND_TARGET
+        elif name in hint:
+            kind = hint[name]
+        else:
+            kind = KIND_NUMERICAL if numeric_like else KIND_CATEGORICAL
+        columns.append(ColumnSpec(name, kind, numeric_like=numeric_like))
+    target = next(c for c in columns if c.kind == KIND_TARGET)
+    if task is None:
+        task = TASK_REGRESSION if target.numeric_like else TASK_CLASSIFICATION
+    if task == TASK_REGRESSION and not target.numeric_like:
+        raise SchemaError(
+            f"target column {target.name!r} does not parse as numbers; regression impossible"
+        )
+    schema = DatasetSchema(columns, task=task)
+    schema.validate()
+    return schema
+
+
+def _first_appearance(cells) -> list:
+    vocab, seen = [], set()
+    for c in cells:
+        if c is not None and c not in seen:
+            seen.add(c)
+            vocab.append(c)
+    return vocab
+
+
+def ref_fit_preprocessing(schema: DatasetSchema, train, n_quantiles: int) -> Preprocessing:
+    fitted_cols, bins, n_classes = [], {}, schema.n_classes
+    for col in schema.columns:
+        cells = train.column(col.name)
+        vocab = None
+        if col.kind == KIND_NUMERICAL:
+            parsed = [_numeric_cell(f"column {col.name!r}", i, c) for i, c in enumerate(cells)]
+            vals = np.array([v for v, miss in parsed if not miss], dtype=np.float64)
+            bins[col.name] = fit_quantiles(vals, n_quantiles, feature=col.name)
+        elif col.kind == KIND_CATEGORICAL:
+            vocab = _first_appearance(cells)
+        elif schema.task == TASK_CLASSIFICATION:
+            if None in cells:
+                raise SchemaError(f"target column {col.name!r} has missing values")
+            vocab = _first_appearance(cells)
+            n_classes = len(vocab)
+            if n_classes < 2:
+                raise SchemaError(
+                    f"classification target {col.name!r} has {n_classes} class(es) in train"
+                )
+        fitted_cols.append(ColumnSpec(col.name, col.kind, col.numeric_like, vocab))
+
+    normalizer = None
+    if schema.task == TASK_REGRESSION:
+        tcol = schema.target.name
+        raw = []
+        for i, c in enumerate(train.column(tcol)):
+            v, missing = _numeric_cell(f"target column {tcol!r}", i, c)
+            if missing:
+                raise SchemaError(f"target column {tcol!r} has missing values")
+            raw.append(v)
+        normalizer = fit_target_normalizer(np.asarray(raw))
+
+    fitted = DatasetSchema(fitted_cols, task=schema.task, n_classes=n_classes)
+    fitted.validate()
+    return Preprocessing(schema=fitted, bins=bins, normalizer=normalizer)
+
+
+def ref_encode(prep: Preprocessing, table) -> EncodedSplit:
+    schema = prep.schema
+    n = table.n_rows
+    num_cols = schema.numerical_features
+    cat_cols = schema.categorical_features
+
+    numeric = np.zeros((n, len(num_cols)), dtype=np.float64)
+    missing = np.zeros((n, len(num_cols)), dtype=bool)
+    for j, col in enumerate(num_cols):
+        if col.name not in table.columns:
+            raise SchemaError(f"table lacks expected column {col.name!r}")
+        for i, cell in enumerate(table.column(col.name)):
+            numeric[i, j], missing[i, j] = _numeric_cell(f"column {col.name!r}", i, cell)
+
+    categorical = np.zeros((n, len(cat_cols)), dtype=np.int64)
+    for j, col in enumerate(cat_cols):
+        if col.name not in table.columns:
+            raise SchemaError(f"table lacks expected column {col.name!r}")
+        lookup = {cat: i for i, cat in enumerate(col.vocab)}
+        for i, cell in enumerate(table.column(col.name)):
+            categorical[i, j] = col.masked_id if cell is None else lookup.get(cell, col.unk_id)
+
+    target = None
+    tname = schema.target.name
+    if tname in table.columns:
+        cells = table.column(tname)
+        if schema.task == TASK_REGRESSION:
+            target = np.empty(n, dtype=np.float64)
+            for i, cell in enumerate(cells):
+                v, miss = _numeric_cell(f"target column {tname!r}", i, cell)
+                if miss:
+                    raise SchemaError(f"target column {tname!r}, row {i}: missing value")
+                target[i] = v
+        else:
+            lookup = {lab: i for i, lab in enumerate(schema.target.vocab)}
+            target = np.empty(n, dtype=np.int64)
+            for i, cell in enumerate(cells):
+                if cell is None:
+                    raise SchemaError(f"target column {tname!r}, row {i}: missing value")
+                if cell not in lookup:
+                    raise SchemaError(
+                        f"target column {tname!r}, row {i}: label {cell!r} unseen in train"
+                    )
+                target[i] = lookup[cell]
+
+    return EncodedSplit(numeric, missing, categorical, target, n)

@@ -50,6 +50,21 @@ def test_round_trip_is_bit_exact(saved):
     )
 
 
+def test_load_draws_no_init(saved, monkeypatch):
+    """Every parameter comes from the file, so loading draws no random init."""
+    model, _, path = saved
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew a random init")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    loaded = load_checkpoint(path)
+    want = model.named_parameters()
+    for name, t in loaded.named_parameters().items():
+        assert t.data.dtype == want[name].data.dtype
+        assert t.data.tobytes() == want[name].data.tobytes(), name
+
+
 def test_round_trip_preserves_preprocessing(saved):
     model, _, path = saved
     loaded = load_checkpoint(path)

@@ -142,6 +142,17 @@ def test_train_ragged_csv_is_an_ingestion_error(tmp_path):
     assert rc == 4
 
 
+def test_oversized_csv_field_is_an_ingestion_error(reg_run, tmp_path, capsys):
+    bad = tmp_path / "big.csv"
+    bad.write_text("x,y\n1,2\n" + "9" * (csv.field_size_limit() + 1) + ",3\n")
+    rc = main(["train", "--data", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 4
+    rc = main(["predict", "--checkpoint", reg_run.ckpt, "--data", str(bad),
+               "--out", str(tmp_path / "preds.csv")])
+    assert rc == 4
+    assert "line 3" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # predict
 

@@ -1,8 +1,14 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulenet import data as D
-from rulenet.errors import ConfigError, FitError, IngestionError, SchemaError
+from rulenet.errors import ConfigError, FitError, IngestionError, RuleNetError, SchemaError
+
+from oracles import ref_encode, ref_fit_preprocessing, ref_infer_schema
 
 
 def _write_csv(path, text):
@@ -45,6 +51,19 @@ def test_load_csv_ragged_row(tmp_path):
     with pytest.raises(IngestionError) as exc:
         D.load_csv(p)
     assert "line 3" in str(exc.value)
+
+
+def test_load_csv_oversized_field_names_path_and_line(tmp_path):
+    big = "x" * (csv.field_size_limit() + 1)
+    p = _write_csv(tmp_path / "t.csv", f"a,y\n1,2\n{big},3\n")
+    with pytest.raises(IngestionError) as exc:
+        D.read_table(p)
+    assert str(p) in str(exc.value) and "line 3" in str(exc.value)
+
+
+def test_load_csv_blank_header_line_is_a_schema_error(tmp_path):
+    with pytest.raises(SchemaError):
+        D.load_csv(_write_csv(tmp_path / "t.csv", "\n\n"))
 
 
 def test_load_csv_empty_and_headerless(tmp_path):
@@ -281,6 +300,151 @@ def test_all_missing_numeric_column_fit_error(tmp_path):
     schema, table = D.load_csv(p, schema_hint={"a": "numerical"})
     with pytest.raises(FitError):
         D.fit_preprocessing(schema, table, n_quantiles=2)
+
+
+def test_encode_non_numeric_cell_names_column_and_row(tmp_path):
+    prep, _ = _prepped(tmp_path, "a,c,y\n1,u,1\n2,v,2\n3,u,3\n")
+    fresh = D.Table.from_rows(["a", "c", "y"], [["4", "u", "1"], ["", "v", "2"], [" x", "u", "3"]])
+    with pytest.raises(SchemaError) as exc:
+        D.encode(prep, fresh)
+    assert str(exc.value) == "column 'a', row 2: ' x' is not numeric"
+
+
+def test_non_numeric_regression_target_is_a_schema_error(tmp_path):
+    prep, _ = _prepped(tmp_path, "a,y\n1,1\n2,2\n3,3\n")
+    fresh = D.Table.from_rows(["a", "y"], [["1", "2"], ["2", "two"], ["3", ""]])
+    with pytest.raises(SchemaError) as exc:
+        D.encode(prep, fresh)
+    assert str(exc.value) == "target column 'y', row 1: 'two' is not numeric"
+
+
+def test_hinted_numerical_text_column_fit_is_a_schema_error():
+    table = D.Table.from_rows(["a", "y"], [["1", "1"], ["b", "2"]])
+    schema = D.infer_schema(table, schema_hint={"a": "numerical"})
+    with pytest.raises(SchemaError) as exc:
+        D.fit_preprocessing(schema, table, n_quantiles=2)
+    assert str(exc.value) == "column 'a', row 1: 'b' is not numeric"
+
+
+# ---------------------------------------------------------------------------
+# column-at-a-time parsing against the per-cell reference (tests/oracles.py)
+
+FINITE = st.one_of(st.floats(-1e6, 1e6).map(repr), st.integers(-1000, 1000).map(str))
+SPECIAL = st.sampled_from(
+    ["", "nan", "NaN", "inf", "-Infinity", "-0", "1e400", "-1e400", "1_000", " 2.5 ", "\t-3\n"]
+)
+NUMBERS = st.one_of(FINITE, SPECIAL)
+TEXT = st.sampled_from(["abc", "1,5", "0x10", "1__0", "--1", " ", "\u00e9"])
+CELLS = {
+    "numerical": NUMBERS,
+    "dirty": st.one_of([NUMBERS] * 7 + [TEXT]),
+    "categorical": st.sampled_from(["", "red", "blue", " red", "1", "green"]),
+}
+TARGETS = {
+    "regression": st.one_of([FINITE] * 8 + [st.just("-0"), SPECIAL, TEXT]),
+    "classification": st.one_of([st.sampled_from(["a", "b", "c"])] * 8 + [st.just(""), st.just("d")]),
+}
+
+
+def _rows(kinds, task, min_size):
+    row = st.tuples(*[CELLS[k] for k in kinds], TARGETS[task]).map(list)
+    return st.lists(row, min_size=min_size, max_size=8)
+
+
+def _outcome(fn, *args):
+    """(result, None) or (None, (error type, message))."""
+    try:
+        return fn(*args), None
+    except RuleNetError as e:
+        return None, (type(e), str(e))
+
+
+def _same_array(a, b):
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_encoding(a, b):
+    return a.n_rows == b.n_rows and all(
+        _same_array(getattr(a, f), getattr(b, f))
+        for f in ("numeric", "numeric_missing", "categorical", "target")
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_ingest_matches_per_cell_reference(data, tmp_path_factory):
+    kinds = data.draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=4))
+    task = data.draw(st.sampled_from(sorted(TARGETS)))
+    header = [f"f{j}" for j in range(len(kinds))] + ["y"]
+    hint = data.draw(st.one_of(st.none(), st.sampled_from(["numerical", "categorical"]).map(lambda k: {"f0": k})))
+    rows = data.draw(_rows(kinds, task, min_size=1))
+    fresh_rows = data.draw(_rows(kinds, task, min_size=0))
+    table = D.Table.from_rows(header, rows)
+
+    # read_table's transpose agrees with from_rows on the same cells
+    path = tmp_path_factory.mktemp("ingest") / "t.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    read = D.read_table(path)
+    assert read.order == table.order and read.columns == table.columns
+
+    schema, err = _outcome(D.infer_schema, table, hint)
+    ref_schema, ref_err = _outcome(ref_infer_schema, table, hint)
+    assert err == ref_err
+    if err:
+        return
+    assert schema.to_json() == ref_schema.to_json()
+
+    prep, err = _outcome(D.fit_preprocessing, schema, table, 3)
+    ref_prep, ref_err = _outcome(ref_fit_preprocessing, schema, table, 3)
+    assert err == ref_err
+    if err:
+        return
+    assert prep.schema.to_json() == ref_prep.schema.to_json()
+    assert prep.bins.keys() == ref_prep.bins.keys()
+    assert all(_same_array(prep.bins[k].boundaries, ref_prep.bins[k].boundaries) for k in prep.bins)
+    assert repr(prep.normalizer) == repr(ref_prep.normalizer)
+
+    # encode the fitted table and a fresh one (unseen categories, bad cells,
+    # sometimes no target column) with the same preprocessing
+    fresh = D.Table.from_rows(header, fresh_rows)
+    if data.draw(st.booleans()):
+        fresh = D.Table(header[:-1], {h: fresh.column(h) for h in header[:-1]})
+    for t in (table, fresh):
+        enc, err = _outcome(D.encode, prep, t)
+        ref_enc, ref_err = _outcome(ref_encode, prep, t)
+        assert err == ref_err
+        assert err or _same_encoding(enc, ref_enc)
+
+
+# ---------------------------------------------------------------------------
+# error contract: any text in, a result or a RuleNetError out
+
+_TOKENS = ["a", "b", "y", "1", "2.5", "-", "e", " ", '"', "\x00", "\ufeff", "\r", "nan", "inf", "1_0", ""]
+_CELL = st.lists(st.sampled_from(_TOKENS), max_size=3).map("".join)
+_TEXT = st.tuples(
+    st.sampled_from(["", "\ufeff", "a,b,y\n", '"a",b,"y"\r\n']),
+    st.lists(st.lists(_CELL, max_size=4).map(",".join), max_size=10).map("\n".join),
+).map("".join)
+_FIT_TABLE = D.Table.from_rows(["a", "b", "y"], [["1", "u", "0.5"], ["2", "v", "1.5"]])
+_FITTED = D.fit_preprocessing(D.infer_schema(_FIT_TABLE), _FIT_TABLE, n_quantiles=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.one_of(_TEXT.map(lambda t: t.encode("utf-8")), st.binary(max_size=60)))
+def test_any_csv_ingests_or_raises_a_rulenet_error(raw, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "t.csv"
+    path.write_bytes(raw)
+    for step in (
+        lambda: D.prepare(path, n_quantiles=3, fractions=(0.4, 0.4, 0.2)),
+        lambda: D.encode(_FITTED, D.read_table(path)),
+    ):
+        try:
+            step()
+        except RuleNetError:
+            pass
 
 
 # ---------------------------------------------------------------------------

@@ -24,68 +24,77 @@ NO_MASK = E.MaskingPolicy(0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# locate_segment
+# locate_segments
+
+
+def _locate(xs, bins):
+    idx, frac = E.locate_segments(np.asarray(xs, dtype=np.float64), bins)
+    return idx.tolist(), frac.tolist()
 
 
 def test_locate_midpoint():
-    assert E.locate_segment(15.0, _bins([0, 10, 20])) == (1, 0.5)
+    assert _locate([15.0], _bins([0, 10, 20])) == ([1], [0.5])
 
 
 def test_locate_exact_boundaries():
-    bins = _bins([0, 10, 20])
-    assert E.locate_segment(0.0, bins) == (0, 0.0)
-    assert E.locate_segment(10.0, bins) == (1, 0.0)
+    assert _locate([0.0, 10.0], _bins([0, 10, 20])) == ([0, 1], [0.0, 0.0])
 
 
 def test_locate_clamps_out_of_range():
-    bins = _bins([0, 10, 20])
-    assert E.locate_segment(-5.0, bins) == (0, 0.0)
-    assert E.locate_segment(25.0, bins) == (1, 1.0)
+    assert _locate([-5.0, 25.0], _bins([0, 10, 20])) == ([0, 1], [0.0, 1.0])
 
 
 def test_locate_nan_rejected():
     with pytest.raises(ValueError):
-        E.locate_segment(float("nan"), _bins([0, 1]))
+        E.locate_segments(np.array([0.5, float("nan")]), _bins([0, 1]))
+    feat = _num_feat([0, 1])
+    with pytest.raises(ValueError):
+        feat.embed_column(np.array([float("nan")]), np.array([False]), 0.0, False, None)
+    # a missing NaN is masked, not located
+    out = feat.embed_column(np.array([float("nan")]), np.array([True]), 0.0, False, None).data
+    assert np.array_equal(out[0], feat.masked_vector.data)
 
 
 def test_locate_zero_width_segment():
-    assert E.locate_segment(5.0, _bins([0, 5, 5, 10])) == (2, 0.0)
-    assert E.locate_segment(3.0, _bins([3, 3])) == (0, 0.0)
+    assert _locate([5.0], _bins([0, 5, 5, 10])) == ([2], [0.0])
+    assert _locate([3.0], _bins([3, 3])) == ([0], [0.0])
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.floats(-1e6, 1e6))
-def test_locate_always_in_bounds(x):
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))
+def test_locate_always_in_bounds(xs):
     bins = _bins([-2.0, 0.5, 1.0, 7.0])
-    i, f = E.locate_segment(x, bins)
-    assert 0 <= i <= bins.n_quantiles - 2
-    assert 0.0 <= f <= 1.0
+    idx, frac = E.locate_segments(np.array(xs), bins)
+    assert np.all((0 <= idx) & (idx <= bins.n_quantiles - 2))
+    assert np.all((0.0 <= frac) & (frac <= 1.0))
 
 
 # ---------------------------------------------------------------------------
 # numerical embedding
 
 
+def _embed(feat, xs, rate=0.0, rng=None):
+    """Embed non-missing values -> [len(xs), embed_dim]; stochastic iff rng is given."""
+    xs = np.asarray(xs, dtype=np.float64)
+    return feat.embed_column(xs, np.zeros(len(xs), dtype=bool), rate, rng is not None, rng).data
+
+
 def test_embed_at_boundary_is_exact_row():
     feat = _num_feat([0, 10, 20])
-    out = E.embed_numerical(10.0, feat, NO_MASK, train_mode=False)
-    assert np.array_equal(out.data, feat.table.data[1])
+    assert np.array_equal(_embed(feat, [10.0])[0], feat.table.data[1])
 
 
 def test_embed_midpoint_frozen_example():
     feat = _num_feat([0, 10, 20], embed_dim=2)
     feat.table.data[:] = [[9.0, 9.0], [1.0, 0.0], [0.0, 1.0]]
-    out = E.embed_numerical(15.0, feat, NO_MASK, train_mode=False)
-    np.testing.assert_allclose(out.data, [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(_embed(feat, [15.0])[0], [0.5, 0.5], atol=1e-12)
 
 
 def test_embed_mask_rate_one_always_masked():
     feat = _num_feat([0, 10, 20])
-    policy = E.MaskingPolicy(mask_rate=1.0)
-    rng = np.random.default_rng(0)
-    for x in (0.0, 7.5, 100.0):
-        out = E.embed_numerical(x, feat, policy, train_mode=True, rng=rng)
-        assert np.array_equal(out.data, feat.masked_vector.data)
+    out = _embed(feat, [0.0, 7.5, 100.0], rate=1.0, rng=np.random.default_rng(0))
+    for row in out:
+        assert np.array_equal(row, feat.masked_vector.data)
 
 
 def test_embed_masked_fraction():
@@ -144,26 +153,24 @@ def test_continuity_at_shared_boundary():
         feat.table, np.array([0]), np.array([1]), np.array([0.0]), np.array([1.0])
     ).data[0]
     # evaluation at the boundary itself: f=0 of segment 1
-    at = E.embed_numerical(10.0, feat, NO_MASK, train_mode=False).data
+    at = _embed(feat, [10.0])[0]
     assert np.array_equal(left, at)
 
 
 def test_piecewise_linearity_within_segment():
     feat = _num_feat([0, 10, 20], seed=6)
     x1, x2 = 2.0, 7.0
-    e1 = E.embed_numerical(x1, feat, NO_MASK, False).data
-    e2 = E.embed_numerical(x2, feat, NO_MASK, False).data
-    mid = E.embed_numerical((x1 + x2) / 2, feat, NO_MASK, False).data
+    e1, e2, mid = _embed(feat, [x1, x2, (x1 + x2) / 2])
     assert np.abs(mid - (e1 + e2) / 2).max() < 1e-6
 
 
 def test_two_quantiles_is_global_lerp():
     feat = _num_feat([-4.0, 6.0], seed=7)
     lo, hi = feat.table.data
-    for x in (-4.0, -1.0, 2.5, 6.0, 11.0):
+    xs = (-4.0, -1.0, 2.5, 6.0, 11.0)
+    for x, got in zip(xs, _embed(feat, xs)):
         f = min(max((x - -4.0) / 10.0, 0.0), 1.0)
         want = (1 - f) * lo + f * hi
-        got = E.embed_numerical(x, feat, NO_MASK, False).data
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -180,27 +187,26 @@ def _cat_feat(vocab_size=3, embed_dim=4, seed=1):
 
 def test_categorical_plain_lookup():
     feat = _cat_feat()
-    out = E.embed_categorical(2, feat, NO_MASK, train_mode=False)
-    assert np.array_equal(out.data, feat.table.data[2])
+    out = feat.embed_column(np.array([2]), 0.0, False, None)
+    assert np.array_equal(out.data[0], feat.table.data[2])
 
 
 def test_categorical_masked_id_lookup():
     feat = _cat_feat()
-    out = E.embed_categorical(feat.masked_id, feat, NO_MASK, train_mode=False)
-    assert np.array_equal(out.data, feat.table.data[feat.masked_id])
+    out = feat.embed_column(np.array([feat.masked_id]), 0.0, False, None)
+    assert np.array_equal(out.data[0], feat.table.data[feat.masked_id])
 
 
 def test_categorical_mask_rate_one():
     feat = _cat_feat()
-    rng = np.random.default_rng(3)
-    out = E.embed_categorical(0, feat, E.MaskingPolicy(1.0), True, rng)
-    assert np.array_equal(out.data, feat.table.data[feat.masked_id])
+    out = feat.embed_column(np.array([0]), 1.0, True, np.random.default_rng(3))
+    assert np.array_equal(out.data[0], feat.table.data[feat.masked_id])
 
 
 def test_categorical_invalid_id_names_feature():
     feat = _cat_feat()
     with pytest.raises(IndexRangeError) as exc:
-        E.embed_categorical(17, feat, NO_MASK, False)
+        feat.embed_column(np.array([17]), 0.0, False, None)
     assert "c" in str(exc.value) and "17" in str(exc.value)
 
 
