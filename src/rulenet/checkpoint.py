@@ -15,12 +15,19 @@ rejected rather than silently trusted. Every other way a manifest can be
 malformed (a missing key, a value of the wrong JSON type, a config or
 preprocessing state that no model fits) is also reported as a
 CheckpointError.
+
+Checkpoints, the CLI's JSON artifacts and study files are written with
+`atomic_open`, so a write that fails partway leaves the previous file in
+place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
+import uuid
 
 import numpy as np
 
@@ -89,11 +96,33 @@ def save_checkpoint(model: RuleNetModel, path) -> None:
         "tensors": directory,
     }
     payload = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, binary=True) as fh:
         fh.write(struct.pack("<Q", len(payload)))
         fh.write(payload)
         for raw in blobs:
             fh.write(raw)
+
+
+@contextlib.contextmanager
+def atomic_open(path, binary: bool = False):
+    """Write a new file beside `path` and move it onto `path` when the block
+    exits cleanly, so that no reader ever sees a partly written file.
+
+    If the block raises, the new file is removed and `path` is left as it
+    was. There is no fsync: this guards against a failed or interrupted
+    write, not against losing power.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
+    fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> RuleNetModel:

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .data import TASK_CLASSIFICATION, encode, prepare, read_table
 from .ensemble import predict_ensemble, predict_point
 from .errors import (
@@ -161,7 +161,7 @@ def _prepare_from(cfg: dict):
 
 
 def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

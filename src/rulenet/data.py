@@ -150,6 +150,8 @@ class QuantileBins:
             raise ConfigError(
                 f"{self.feature}: {len(b)} boundaries for n_quantiles={self.n_quantiles}"
             )
+        if not np.all(np.isfinite(b)):
+            raise ConfigError(f"{self.feature}: boundaries must be finite")
         if np.any(np.diff(b) < 0):
             raise ConfigError(f"{self.feature}: boundaries must be non-decreasing")
 
@@ -181,7 +183,9 @@ class Table:
     @classmethod
     def from_rows(cls, header: Sequence[str], rows: Sequence[Sequence]) -> "Table":
         cols = {name: [] for name in header}
-        for row in rows:
+        for i, row in enumerate(rows):
+            if len(row) != len(header):
+                raise IngestionError(f"row {i} has {len(row)} cells, header has {len(header)}")
             for name, cell in zip(header, row):
                 cell = None if cell is None or cell == "" else str(cell)
                 cols[name].append(cell)
@@ -393,7 +397,11 @@ def fit_quantiles(values: np.ndarray, n_quantiles: int, feature: str = "") -> Qu
     if vals.size == 0:
         raise FitError(f"column {feature!r}: no non-missing values to fit quantiles on")
     levels = np.linspace(0.0, 1.0, n_quantiles)
-    return QuantileBins(feature, np.quantile(vals, levels), n_quantiles)
+    with np.errstate(over="ignore", invalid="ignore"):
+        boundaries = np.quantile(vals, levels)
+    if not np.all(np.isfinite(boundaries)):
+        raise FitError(f"column {feature!r}: its value range overflows float64 quantiles")
+    return QuantileBins(feature, boundaries, n_quantiles)
 
 
 def fit_target_normalizer(targets: np.ndarray) -> TargetNormalizer:

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from .checkpoint import atomic_open
 from .data import DatasetSchema, EncodedSplit, Preprocessing, fit_quantiles
 from .errors import ConfigError, RuleNetError, StudyError
 from .model import RuleNetConfig
@@ -401,7 +402,7 @@ def sensitivity(records, param: str, n_buckets: int = 5) -> list:
 def write_study_files(out_dir, best: TrialRecord, records, space: SearchSpace) -> None:
     """Study artifacts: one JSON line per trial, plus a summary."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "trials.jsonl"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "trials.jsonl")) as fh:
         for r in records:
             fh.write(json.dumps(r.to_json()) + "\n")
     summary = {
@@ -416,6 +417,6 @@ def write_study_files(out_dir, best: TrialRecord, records, space: SearchSpace) -
             for s in (STATUS_COMPLETED, STATUS_PRUNED, STATUS_FAILED)
         },
     }
-    with open(os.path.join(out_dir, "best.json"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "best.json")) as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")

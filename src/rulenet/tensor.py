@@ -16,6 +16,8 @@ verification), and mixing dtypes raises instead of silently upcasting.
 
 from __future__ import annotations
 
+import ctypes
+import platform
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -103,6 +105,37 @@ class Tape:
     def record(self, op: str, inputs: tuple, output: Tensor, ctx: tuple) -> None:
         self.entries.append(OpRecord(op, inputs, output, ctx))
         self._produced.add(id(output))
+
+
+def _keep_freed_memory_mapped() -> None:
+    """Have glibc keep the memory a freed tape returns, for the next step.
+
+    A train step's tape holds a few hundred MB of activations, all freed at
+    its end. By default glibc unmaps each freed block above its mmap
+    threshold and trims the top of the heap, so the next step faults the
+    same pages back in: some 30k minor faults per step of the default
+    config. Raising the mmap threshold to the largest value glibc accepts
+    on 64-bit (32 MiB) and the trim threshold to 1 GiB keeps those pages in
+    the heap for reuse. The price is that the process keeps its heap
+    high-water mark after a step; arrays over 32 MiB are still mmapped.
+    Another platform, another libc or a failed call leaves the allocator as
+    it is.
+    """
+    if platform.system() != "Linux" or platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_mmap_threshold, m_trim_threshold = -3, -1  # from glibc's <malloc.h>
+    for param, value in ((m_mmap_threshold, 32 << 20), (m_trim_threshold, 1 << 30)):
+        if mallopt(param, value) != 1:  # mallopt returns 1 on success
+            return
+
+
+_keep_freed_memory_mapped()
 
 
 # Thread-local so concurrent trainers (hyperparameter search workers) each

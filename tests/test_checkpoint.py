@@ -1,4 +1,8 @@
+import builtins
+import errno
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rulenet.checkpoint as ckpt
 from rulenet.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from rulenet.errors import (
     CheckpointError,
@@ -63,6 +68,39 @@ def test_load_draws_no_init(saved, monkeypatch):
     for name, t in loaded.named_parameters().items():
         assert t.data.dtype == want[name].data.dtype
         assert t.data.tobytes() == want[name].data.tobytes(), name
+
+
+class _DiskFullAfterOneWrite:
+    """A file that takes its first write, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_failed_save_leaves_the_previous_file(saved, monkeypatch):
+    _, _, path = saved
+    before = path.read_bytes()
+    other, _ = tiny_model(seed=34, dtype=np.float32)
+    monkeypatch.setattr(
+        ckpt, "open", lambda *a, **kw: _DiskFullAfterOneWrite(builtins.open(*a, **kw)), raising=False
+    )
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(other, path)
+    assert path.read_bytes() == before
+    assert os.listdir(path.parent) == [path.name]
 
 
 def test_round_trip_preserves_preprocessing(saved):
@@ -186,6 +224,11 @@ def _set(manifest, path, value):
     _holder(manifest, path)[path[-1]] = value
 
 
+def _first_boundary(manifest, i):
+    """Key path of boundary i of the first numerical feature's bins."""
+    return ("preprocessing", "bins", next(iter(manifest["preprocessing"]["bins"])), "boundaries", i)
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -197,10 +240,12 @@ def _set(manifest, path, value):
         lambda m: _set(m, ("preprocessing", "bins"), {}),
         lambda m: _set(m, ("preprocessing", "normalizer"), None),
         lambda m: _set(m, ("tensors", 0, "offset"), -8),
+        lambda m: _set(m, _first_boundary(m, 0), math.nan),
+        lambda m: _set(m, _first_boundary(m, -1), math.inf),
     ],
     ids=[
         "no-schema", "list-schema", "no-config", "no-n_features", "string-n_rules",
-        "no-bins", "no-normalizer", "negative-offset",
+        "no-bins", "no-normalizer", "negative-offset", "nan-bin", "infinite-bin",
     ],
 )
 def test_malformed_manifest_is_a_checkpoint_error(saved, mutate):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rulenet.cli import main, resolve_run_config
+from rulenet.cli import _write_json, main, resolve_run_config
 from rulenet.checkpoint import load_checkpoint
 from rulenet.data import encode, read_table
 from rulenet.datasets import separable_classification, step_regression, write_csv
@@ -253,6 +253,16 @@ def test_evaluate_can_write_the_record(reg_run, tmp_path, capsys):
     assert rc == 0
     printed = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert json.load(open(out)) == printed
+
+
+def test_failed_json_write_leaves_the_previous_file(tmp_path):
+    path = tmp_path / "metrics.json"
+    _write_json(path, {"score": 1.0})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):  # json.dump fails on "z" after writing "a"
+        _write_json(path, {"a": 2.0, "z": object()})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["metrics.json"]
 
 
 def test_evaluate_wrong_metric_for_task(reg_run, capsys):

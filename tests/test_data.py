@@ -53,6 +53,16 @@ def test_load_csv_ragged_row(tmp_path):
     assert "line 3" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "rows,message",
+    [([["1", "1", "9"], ["2", "2"]], "row 0 has 3 cells"), ([["1", "1"], ["2"]], "row 1 has 1 cells")],
+    ids=["long", "short"],
+)
+def test_from_rows_ragged_row_names_the_row(rows, message):
+    with pytest.raises(IngestionError, match=f"{message}, header has 2"):
+        D.Table.from_rows(["a", "y"], rows)
+
+
 def test_load_csv_oversized_field_names_path_and_line(tmp_path):
     big = "x" * (csv.field_size_limit() + 1)
     p = _write_csv(tmp_path / "t.csv", f"a,y\n1,2\n{big},3\n")
@@ -188,6 +198,20 @@ def test_fit_quantiles_rejects_empty_and_small_nq():
         D.fit_quantiles(np.array([]), 3)
     with pytest.raises(ConfigError):
         D.fit_quantiles(np.array([1.0, 2.0]), 1)
+
+
+def test_fit_quantiles_overflowing_range_is_a_fit_error():
+    with pytest.raises(FitError, match="'wide'"):
+        D.fit_quantiles(np.array([-1.7e308, 1.7e308]), 3, feature="wide")
+    table = D.Table.from_rows(["a", "y"], [["-1.7e308", "1"], ["1.7e308", "2"]])
+    with pytest.raises(FitError, match="'a'"):
+        D.fit_preprocessing(D.infer_schema(table), table, 3)
+
+
+@pytest.mark.parametrize("bad", [[0.0, np.nan, 1.0], [-np.inf, 0.0, 1.0], [0.0, 1.0, np.inf]])
+def test_quantile_bins_reject_non_finite_boundaries(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        D.QuantileBins("f", np.array(bad), 3)
 
 
 def _segment_of(x, boundaries):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rulenet.hpo import (
     run_study,
     sample_config,
     sensitivity,
+    write_study_files,
 )
 from rulenet.model import RuleNetConfig
 from rulenet.training import evaluate
@@ -300,6 +302,22 @@ def _record(trial_id, score, **config_overrides):
     r.score = score
     r.status = "completed" if score is not None else "failed"
     return r
+
+
+def test_failed_study_write_leaves_the_previous_files(tmp_path):
+    records = [_record(0, 1.0), _record(1, 2.0)]
+    write_study_files(tmp_path, records[1], records, _tiny_space())
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+
+    def fail():
+        raise RuntimeError("record cannot be serialized")
+
+    broken = [_record(0, 3.0), _record(1, 4.0)]
+    broken[1].to_json = fail  # the second trials.jsonl line fails
+    with pytest.raises(RuntimeError, match="serialized"):
+        write_study_files(tmp_path, broken[0], broken, _tiny_space())
+    assert sorted(before) == ["best.json", "trials.jsonl"]
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
 
 def test_sensitivity_reference_grouping():

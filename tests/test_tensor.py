@@ -1,4 +1,9 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -591,3 +596,55 @@ def test_fused_op_shape_errors():
         T.attention_probs(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((2, 3, 5))), 1.0)
     with pytest.raises(DimensionError):
         T.attention_probs(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((3, 3, 4))), 1.0)
+
+
+_TRAIN_STEP_FAULTS = """
+import resource
+
+import numpy as np
+
+from helpers import make_dataset
+from rulenet import tensor as T
+from rulenet.data import take_rows
+from rulenet.model import RuleNetConfig, RuleNetModel
+from rulenet.training import AdamW, batch_loss
+
+prep, enc = make_dataset(rows=256, n_num=8, n_cat=0, n_quantiles=RuleNetConfig.n_quantiles)
+model = RuleNetModel.build(prep, RuleNetConfig.for_schema(prep.schema), seed=0)
+optimizer = AdamW(model.parameter_groups())
+batch = take_rows(enc, np.arange(256))
+rng = np.random.default_rng(0)
+
+
+def step():
+    with T.Tape() as tape:
+        loss = batch_loss(model, batch, model.forward(batch, "train", rng=rng))
+    T.backward(tape, loss)
+    optimizer.step(1e-3, 1e-2)
+    optimizer.zero_grad()
+
+
+step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+    reason="the allocator policy is set through glibc's mallopt only",
+)
+def test_train_steps_reuse_freed_memory():
+    """After a warm-up step, a default-config step (256 rows, M=8) reuses the
+    memory the previous step freed. Under glibc's default policy each step
+    faults some 30k pages back in."""
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    out = subprocess.run(
+        [sys.executable, "-c", _TRAIN_STEP_FAULTS],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    faults = int(out.stdout.split()[-1])
+    assert faults < 3000, f"{faults} minor page faults in three train steps"
