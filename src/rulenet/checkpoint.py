@@ -16,9 +16,9 @@ malformed (a missing key, a value of the wrong JSON type, a config or
 preprocessing state that no model fits) is also reported as a
 CheckpointError.
 
-Checkpoints, the CLI's JSON artifacts and study files are written with
-`atomic_open`, so a write that fails partway leaves the previous file in
-place.
+Checkpoints, the CLI's JSON and CSV artifacts and study files are written
+with `atomic_open`, so a write that fails partway leaves the previous file
+in place.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .data import (
     TargetNormalizer,
 )
 from .errors import (
+    ArtifactWriteError,
     CheckpointError,
     ConfigError,
     ContractError,
@@ -109,19 +110,22 @@ def atomic_open(path, binary: bool = False):
     exits cleanly, so that no reader ever sees a partly written file.
 
     If the block raises, the new file is removed and `path` is left as it
-    was. There is no fsync: this guards against a failed or interrupted
-    write, not against losing power.
+    was; an OSError becomes an ArtifactWriteError naming `path`. There is
+    no fsync: this guards against a failed or interrupted write, not
+    against losing power.
     """
     directory, name = os.path.split(os.fspath(path))
     tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
-    fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
     try:
+        fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="")
         with fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise ArtifactWriteError(f"cannot write {os.fspath(path)}: {e.strerror or e}") from e
         raise
 
 

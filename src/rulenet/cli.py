@@ -7,7 +7,7 @@ fixed --seed.
 Exit codes (also shown in --help):
   0  all outputs written
   2  bad command line (argparse)
-  3  configuration error (bad hyperparameter, metric, config/space file)
+  3  configuration error (bad hyperparameter, metric, config/space/output file)
   4  CSV ingestion error (unreadable, ragged, empty)
   5  schema error (missing/mismatched columns, bad target)
   6  preprocessing fit error (e.g. an all-missing column)
@@ -246,7 +246,7 @@ def cmd_predict(args) -> int:
     else:
         predictions = list(probs_or_values)
 
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i, pred in enumerate(predictions):

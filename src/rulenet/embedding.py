@@ -6,7 +6,9 @@ located in its fitted quantile segment [q_i, q_{i+1}] and embedded as
 and each parameter vector receives gradient only when its segment is hit.
 Categorical features are plain table lookups with reserved UNK and MASKED
 rows. Stochastic masking (the model's regularizer and its missing-value
-channel) swaps a feature's embedding for a learnable masked vector.
+channel) swaps a feature's embedding for a learnable masked vector. The
+whole feature block is one lookup (the batched piecewise-linear encoding of
+Gorishniy et al. 2022, arXiv:2203.05556), so its tape ops do not grow with M.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Batch, DatasetSchema, Preprocessing, QuantileBins
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, IndexRangeError
 
 
 @dataclass
@@ -33,11 +35,11 @@ class MaskingPolicy:
                 raise ConfigError(f"{name} must lie in [0, 0.5], got {p}")
 
 
-def _mask_draws(rate: float, count: int, rng: np.random.Generator) -> np.ndarray:
+def _mask_draws(rate: float, shape, rng: np.random.Generator) -> np.ndarray:
     """Independent Bernoulli draws: masked iff eps <= rate."""
     if rate <= 0.0:
-        return np.zeros(count, dtype=bool)
-    return rng.random(count) <= rate
+        return np.zeros(shape, dtype=bool)
+    return rng.random(shape) <= rate
 
 
 def init_table(rng: np.random.Generator, rows: int, embed_dim: int, dtype) -> T.Tensor:
@@ -55,26 +57,30 @@ def init_vector(rng: np.random.Generator, embed_dim: int, dtype) -> T.Tensor:
 # segment location
 
 
-def locate_segments(values: np.ndarray, bins: QuantileBins) -> tuple[np.ndarray, np.ndarray]:
+def locate_segments(values, boundaries, n_quantiles) -> tuple[np.ndarray, np.ndarray]:
     """Find each value's quantile segment: (indices i, fractions f in [0, 1]).
 
+    values [..., k] are located in the rows of boundaries [k, n], +inf past
+    row j's n_quantiles[j], or all in one 1-d row of boundaries.
     i is the largest index with q_i <= x, clamped to a valid segment;
     out-of-range values clamp to the outermost segment with f 0 or 1;
     zero-width segments give f = 0. NaN raises ValueError.
     """
     if np.isnan(values).any():
-        raise ValueError(f"cannot locate NaN in quantile bins for {bins.feature!r}")
-    b = bins.boundaries
-    idx = np.searchsorted(b, values, side="right") - 1
-    idx = np.clip(idx, 0, bins.n_quantiles - 2)
-    width = b[idx + 1] - b[idx]
+        raise ValueError("cannot locate NaN in quantile bins")
+    # the count of q <= x is searchsorted(side="right") on a sorted row
+    idx = (values[..., None] >= boundaries).sum(axis=-1) - 1
+    idx = np.clip(idx, 0, n_quantiles - 2)
+    b = np.broadcast_to(boundaries, values.shape + boundaries.shape[-1:])
+    lo = np.take_along_axis(b, idx[..., None], axis=-1)[..., 0]
+    width = np.take_along_axis(b, idx[..., None] + 1, axis=-1)[..., 0] - lo
     safe = np.where(width > 0.0, width, 1.0)
-    frac = np.where(width > 0.0, (values - b[idx]) / safe, 0.0)
+    frac = np.where(width > 0.0, (values - lo) / safe, 0.0)
     return idx.astype(np.int64), np.clip(frac, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# per-feature embeddings
+# per-feature parameters
 
 
 @dataclass
@@ -93,32 +99,6 @@ class NumericalFeatureEmbedding:
             init_vector(rng, embed_dim, dtype),
         )
 
-    def embed_column(
-        self,
-        values: np.ndarray,
-        missing: np.ndarray,
-        rate: float,
-        stochastic: bool,
-        rng: Optional[np.random.Generator],
-    ) -> T.Tensor:
-        """Embed one column of raw values -> [rows, embed_dim].
-
-        Missing entries always take the masked vector; stochastic mode also
-        masks each entry independently with probability `rate`. A NaN that
-        is not masked raises ValueError.
-        """
-        masked = np.asarray(missing, dtype=bool)
-        if stochastic:
-            masked = masked | _mask_draws(rate, len(values), rng)
-        idx, frac = locate_segments(np.where(masked, 0.0, values), self.bins)
-        joined = T.concat([self.table, T.reshape(self.masked_vector, (1, -1))], axis=0)
-        masked_row = self.bins.n_quantiles
-        idx_lo = np.where(masked, masked_row, idx)
-        idx_hi = np.where(masked, masked_row, idx + 1)
-        w_lo = np.where(masked, 1.0, 1.0 - frac)
-        w_hi = np.where(masked, 0.0, frac)
-        return T.interp_rows(joined, idx_lo, idx_hi, w_lo, w_hi)
-
 
 @dataclass
 class CategoricalFeatureEmbedding:
@@ -130,30 +110,35 @@ class CategoricalFeatureEmbedding:
     def build(cls, name, table_size, masked_id, embed_dim, rng, dtype):
         return cls(name, init_table(rng, table_size, embed_dim, dtype), masked_id)
 
-    def embed_column(
-        self,
-        ids: np.ndarray,
-        rate: float,
-        stochastic: bool,
-        rng: Optional[np.random.Generator],
-    ) -> T.Tensor:
-        if stochastic:
-            swap = _mask_draws(rate, len(ids), rng)
-            ids = np.where(swap, self.masked_id, ids)
-        return T.gather(self.table, np.asarray(ids), label=self.name)
-
 
 # ---------------------------------------------------------------------------
 # the full feature block and the rule block
 
 
 class FeatureEmbeddings:
-    """All per-feature embeddings, walked in schema feature order."""
+    """All feature embeddings, looked up as one block in schema order.
+
+    Each call stacks the numerical masked vectors and every table into one
+    table. A located numerical value blends its rows (i, i+1) by (1-f, f);
+    a masked cell or a categorical id is one row r, blended as (r, r) by (1, 0).
+    """
 
     def __init__(self, schema: DatasetSchema, numerical, categorical):
         self.schema = schema
         self.numerical: list[NumericalFeatureEmbedding] = numerical
         self.categorical: list[CategoricalFeatureEmbedding] = categorical
+        features = numerical + categorical  # the batch's column order
+        position = {c.name: i for i, c in enumerate(schema.features)}
+        self._position = np.array([position[f.name] for f in features], dtype=np.int64)
+        self._column = np.argsort(self._position)
+        self._n_quantiles = np.array([f.bins.n_quantiles for f in numerical], dtype=np.int64)
+        self._boundaries = np.full((len(numerical), self._n_quantiles.max(initial=2)), np.inf)
+        for j, f in enumerate(numerical):
+            self._boundaries[j, : f.bins.n_quantiles] = f.bins.boundaries
+        self._sizes = np.array([f.table.shape[0] for f in features], dtype=np.int64)
+        self._offsets = len(numerical) + np.cumsum(self._sizes) - self._sizes
+        masked = self._offsets[len(numerical) :] + [f.masked_id for f in categorical]
+        self._masked_rows = np.concatenate([np.arange(len(numerical)), masked]).astype(np.int64)
 
     @classmethod
     def build(cls, prep: Preprocessing, embed_dim: int, rng, dtype) -> "FeatureEmbeddings":
@@ -186,39 +171,43 @@ class FeatureEmbeddings:
         """Embed a batch -> [rows, n_features, embed_dim].
 
         Tokens follow schema feature order; masking draws are i.i.d. per row
-        and feature, consumed in that same order (deterministic per rng).
+        and feature, consumed feature by feature in that same order
+        (deterministic per rng). Missing numerical cells are always masked.
         No positional information is added.
         """
-        rows = batch.n_rows
-        if batch.numeric.shape[1] != len(self.numerical):
+        n_num, n_cat = len(self.numerical), len(self.categorical)
+        if batch.numeric.shape[1] != n_num or batch.categorical.shape[1] != n_cat:
             raise ContractError(
-                f"batch has {batch.numeric.shape[1]} numerical columns, "
-                f"embeddings expect {len(self.numerical)}"
+                f"batch has {batch.numeric.shape[1]} numerical and {batch.categorical.shape[1]}"
+                f" categorical columns, embeddings expect {n_num} and {n_cat}"
             )
-        if batch.categorical.shape[1] != len(self.categorical):
-            raise ContractError(
-                f"batch has {batch.categorical.shape[1]} categorical columns, "
-                f"embeddings expect {len(self.categorical)}"
+        ids = np.asarray(batch.categorical)
+        bad = (ids < 0) | (ids >= self._sizes[n_num:])
+        if bad.any():
+            j, r = np.argwhere(bad.T)[0]
+            raise IndexRangeError(
+                f"categorical feature {self.categorical[j].name!r}: id {int(ids[r, j])} "
+                f"outside [0, {self._sizes[n_num + j]})"
             )
-        by_name = {f.name: ("num", i, f) for i, f in enumerate(self.numerical)}
-        by_name.update({f.name: ("cat", i, f) for i, f in enumerate(self.categorical)})
-        tokens = []
-        for col in self.schema.features:
-            kind, j, feat = by_name[col.name]
-            if kind == "num":
-                e = feat.embed_column(
-                    batch.numeric[:, j],
-                    batch.numeric_missing[:, j],
-                    policy.mask_rate,
-                    train_mode,
-                    rng,
-                )
-            else:
-                e = feat.embed_column(
-                    batch.categorical[:, j], policy.mask_rate, train_mode, rng
-                )
-            tokens.append(T.reshape(e, (rows, 1, -1)))
-        return T.concat(tokens, axis=1)
+        masked = np.hstack([batch.numeric_missing, np.zeros(ids.shape, dtype=bool)])
+        if train_mode:
+            drawn = _mask_draws(policy.mask_rate, (n_num + n_cat, batch.n_rows), rng)
+            masked |= drawn[self._position].T
+        idx, frac = locate_segments(
+            np.where(masked[:, :n_num], 0.0, batch.numeric), self._boundaries, self._n_quantiles
+        )
+        lo = np.where(masked, self._masked_rows, self._offsets + np.hstack([idx, ids]))
+        hi = np.where(masked, self._masked_rows, self._offsets + np.hstack([idx + 1, ids]))
+        w_hi = np.where(masked, 0.0, np.hstack([frac, np.zeros(ids.shape)]))
+        lo, hi, w_hi = (a[:, self._column].ravel() for a in (lo, hi, w_hi))
+
+        tables = [f.table for f in self.numerical + self.categorical]
+        if n_num:
+            masked_vectors = T.concat([f.masked_vector for f in self.numerical], axis=0)
+            tables.insert(0, T.reshape(masked_vectors, (n_num, -1)))
+        joined = T.concat(tables, axis=0)
+        out = T.interp_rows(joined, lo, hi, 1.0 - w_hi, w_hi)
+        return T.reshape(out, (batch.n_rows, n_num + n_cat, joined.shape[1]))
 
 
 @dataclass

@@ -24,6 +24,10 @@ class ConfigError(RuleNetError):
     """Invalid hyperparameter, fraction, metric or CLI configuration."""
 
 
+class ArtifactWriteError(ConfigError, OSError):
+    """An output file could not be written; names the path the caller gave."""
+
+
 class IngestionError(RuleNetError):
     """CSV could not be read into a table (ragged rows, empty file, ...)."""
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from rulenet import data as D
+from rulenet import tensor as T
+from rulenet.embedding import FeatureEmbeddings, MaskingPolicy
 from rulenet.model import RuleNetConfig, RuleNetModel
 
 
@@ -68,3 +70,51 @@ def tiny_model(seed=0, dtype=np.float64, task="regression", rows=8, missing_rate
     model = RuleNetModel.build(prep, cfg, seed=seed, dtype=dtype)
     batch = D.take_rows(enc, np.arange(min(rows, enc.n_rows)))
     return model, batch
+
+
+# ---------------------------------------------------------------------------
+# one feature's column through FeatureEmbeddings.embed_row
+
+
+def _embed_one(feat, kind, numeric, missing, ids, rate, stochastic, rng) -> T.Tensor:
+    schema = D.DatasetSchema(
+        [D.ColumnSpec(feat.name, kind), D.ColumnSpec("y", D.KIND_TARGET)], task="regression"
+    )
+    numerical, categorical = ([feat], []) if kind == D.KIND_NUMERICAL else ([], [feat])
+    rows = len(numeric)
+    batch = D.Batch(numeric, missing, ids, None, rows)
+    out = FeatureEmbeddings(schema, numerical, categorical).embed_row(
+        batch, MaskingPolicy(rate), stochastic, rng
+    )
+    return T.reshape(out, (rows, -1))
+
+
+def embed_numerical(feat, values, missing, rate, stochastic, rng) -> T.Tensor:
+    """Embed one numerical column of raw values -> [rows, embed_dim]."""
+    values = np.asarray(values, dtype=np.float64)
+    return _embed_one(
+        feat,
+        D.KIND_NUMERICAL,
+        values[:, None],
+        np.asarray(missing, dtype=bool)[:, None],
+        np.zeros((len(values), 0), dtype=np.int64),
+        rate,
+        stochastic,
+        rng,
+    )
+
+
+def embed_categorical(feat, ids, rate, stochastic, rng) -> T.Tensor:
+    """Embed one categorical column of ids -> [rows, embed_dim]."""
+    ids = np.asarray(ids, dtype=np.int64)
+    rows = len(ids)
+    return _embed_one(
+        feat,
+        D.KIND_CATEGORICAL,
+        np.zeros((rows, 0)),
+        np.zeros((rows, 0), dtype=bool),
+        ids[:, None],
+        rate,
+        stochastic,
+        rng,
+    )

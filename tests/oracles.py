@@ -2,11 +2,14 @@
 
 Central finite differences here are written directly against numpy so they
 share no code with the library's backward pass. The ingest references parse
-cell by cell, the way rulenet.data did before it parsed a column at a time.
+cell by cell, the way rulenet.data did before it parsed a column at a time,
+and the embedding reference maps one cell at a time, the way
+FeatureEmbeddings.embed_row did before it became one block lookup.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -210,3 +213,46 @@ def ref_encode(prep: Preprocessing, table) -> EncodedSplit:
                 target[i] = lookup[cell]
 
     return EncodedSplit(numeric, missing, categorical, target, n)
+
+
+# ---------------------------------------------------------------------------
+# embedding: a per-cell reference for FeatureEmbeddings.embed_row
+
+
+def ref_embed_row(feats, batch, policy, train_mode: bool, rng) -> np.ndarray:
+    """[rows, n_features, embed_dim], one cell at a time in schema order.
+
+    Each feature in schema order draws rng.random(rows) when masking is on.
+    A masked cell (drawn, or a missing numerical value) is the feature's
+    masked vector or MASKED row; a numerical value is (1-f)*e_i + f*e_{i+1}
+    in the segment that bisect finds; a categorical id is its table row.
+    The two weights are cast to the table dtype first, as the library does.
+    """
+    numerical = {f.name: (j, f) for j, f in enumerate(feats.numerical)}
+    categorical = {f.name: (j, f) for j, f in enumerate(feats.categorical)}
+    features = feats.schema.features
+    rows = batch.n_rows
+    first = (feats.numerical + feats.categorical)[0].table.data
+    out = np.empty((rows, len(features), first.shape[1]), dtype=first.dtype)
+    for m, col in enumerate(features):
+        drawn = [False] * rows
+        if train_mode and policy.mask_rate > 0.0:
+            drawn = list(rng.random(rows) <= policy.mask_rate)
+        for r in range(rows):
+            if col.name in categorical:
+                j, feat = categorical[col.name]
+                cell = feat.masked_id if drawn[r] else int(batch.categorical[r, j])
+                out[r, m] = feat.table.data[cell]
+                continue
+            j, feat = numerical[col.name]
+            if drawn[r] or batch.numeric_missing[r, j]:
+                out[r, m] = feat.masked_vector.data
+                continue
+            b = [float(q) for q in feat.bins.boundaries]
+            x = float(batch.numeric[r, j])
+            i = min(max(bisect.bisect_right(b, x) - 1, 0), len(b) - 2)
+            width = b[i + 1] - b[i]
+            f = min(max((x - b[i]) / width if width > 0.0 else 0.0, 0.0), 1.0)
+            w_lo, w_hi = np.array([1.0 - f, f], dtype=out.dtype)
+            out[r, m] = w_lo * feat.table.data[i] + w_hi * feat.table.data[i + 1]
+    return out

@@ -39,7 +39,7 @@ from rulenet.model import (
 )
 from rulenet.training import evaluate, train
 
-from helpers import make_dataset, tiny_config, tiny_model
+from helpers import embed_numerical, make_dataset, tiny_config, tiny_model
 from oracles import fd_gradient, max_rel_err
 
 
@@ -214,7 +214,8 @@ def test_criterion_2_embedding_mechanics(capsys):
     table = feat.table.data
 
     def embed(xs):
-        out = feat.embed_column(
+        out = embed_numerical(
+            feat,
             np.asarray(xs, dtype=np.float64),
             np.zeros(len(xs), dtype=bool),
             0.0,
@@ -247,7 +248,7 @@ def test_criterion_2_embedding_mechanics(capsys):
     feat2 = NumericalFeatureEmbedding.build("f", bins2, 8, rng, np.float64)
     lo, hi = bins2.boundaries
     xs = rng.uniform(lo, hi, size=50)
-    out = feat2.embed_column(xs, np.zeros(50, dtype=bool), 0.0, False, None).data
+    out = embed_numerical(feat2, xs, np.zeros(50, dtype=bool), 0.0, False, None).data
     fr = (xs - lo) / (hi - lo)
     want = np.outer(1.0 - fr, feat2.table.data[0]) + np.outer(fr, feat2.table.data[1])
     worst2 = max_rel_err(out, want)
@@ -258,7 +259,8 @@ def test_criterion_2_embedding_mechanics(capsys):
     xs = rng.normal(size=n)
     checked = []
     for p in (0.1, 0.3):
-        out = feat.embed_column(
+        out = embed_numerical(
+            feat,
             xs, np.zeros(n, dtype=bool), p, True, np.random.default_rng(1234)
         ).data
         count = int(np.sum(np.all(out == feat.masked_vector.data, axis=1)))

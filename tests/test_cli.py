@@ -1,6 +1,7 @@
 """End-to-end CLI tests: each subcommand run in-process via main(argv)."""
 
 import csv
+import errno
 import json
 import os
 from types import SimpleNamespace
@@ -8,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from rulenet import cli
 from rulenet.cli import _write_json, main, resolve_run_config
 from rulenet.checkpoint import load_checkpoint
 from rulenet.data import encode, read_table
@@ -231,6 +233,26 @@ def test_predict_classification_emits_labels(cls_run, tmp_path):
     assert all(0.0 <= float(r[2]) <= 1.0 for r in rows)
 
 
+def test_predict_failed_write_leaves_the_previous_file(reg_run, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "preds.csv"
+    argv = ["predict", "--checkpoint", reg_run.ckpt, "--data", reg_run.data, "--out", str(out)]
+    assert main(argv) == 0
+    before = out.read_bytes()
+    cells = []
+
+    def disk_full_partway(value):
+        cells.append(value)
+        if len(cells) > 5:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return str(value)
+
+    monkeypatch.setattr(cli, "_format_cell", disk_full_partway)
+    assert main(argv + ["--ensemble", "1"]) == 3
+    assert f"cannot write {out}: No space" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert os.listdir(tmp_path) == ["preds.csv"]
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -263,6 +285,17 @@ def test_failed_json_write_leaves_the_previous_file(tmp_path):
         _write_json(path, {"a": 2.0, "z": object()})
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["metrics.json"]
+
+
+def test_evaluate_unwritable_out_names_the_given_path(reg_run, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["evaluate", "--checkpoint", reg_run.ckpt, "--data", reg_run.data,
+               "--out", "missing/dir/eval.json"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "cannot write missing/dir/eval.json: No such file or directory" in err
+    assert ".tmp" not in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_evaluate_wrong_metric_for_task(reg_run, capsys):

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 import rulenet.tensor as T
 from rulenet import embedding as E
-from rulenet.data import Batch, ColumnSpec, DatasetSchema, QuantileBins
+from rulenet.data import Batch, ColumnSpec, DatasetSchema, Preprocessing, QuantileBins
 from rulenet.errors import ConfigError, IndexRangeError
+
+from helpers import embed_categorical, embed_numerical, make_dataset
+from oracles import ref_embed_row
 
 
 def _bins(vals, name="x"):
@@ -28,7 +31,8 @@ NO_MASK = E.MaskingPolicy(0.0, 0.0)
 
 
 def _locate(xs, bins):
-    idx, frac = E.locate_segments(np.asarray(xs, dtype=np.float64), bins)
+    xs = np.asarray(xs, dtype=np.float64)
+    idx, frac = E.locate_segments(xs, bins.boundaries, bins.n_quantiles)
     return idx.tolist(), frac.tolist()
 
 
@@ -46,12 +50,13 @@ def test_locate_clamps_out_of_range():
 
 def test_locate_nan_rejected():
     with pytest.raises(ValueError):
-        E.locate_segments(np.array([0.5, float("nan")]), _bins([0, 1]))
+        bins = _bins([0, 1])
+        E.locate_segments(np.array([0.5, float("nan")]), bins.boundaries, bins.n_quantiles)
     feat = _num_feat([0, 1])
     with pytest.raises(ValueError):
-        feat.embed_column(np.array([float("nan")]), np.array([False]), 0.0, False, None)
+        embed_numerical(feat, np.array([float("nan")]), np.array([False]), 0.0, False, None)
     # a missing NaN is masked, not located
-    out = feat.embed_column(np.array([float("nan")]), np.array([True]), 0.0, False, None).data
+    out = embed_numerical(feat, np.array([float("nan")]), np.array([True]), 0.0, False, None).data
     assert np.array_equal(out[0], feat.masked_vector.data)
 
 
@@ -64,7 +69,7 @@ def test_locate_zero_width_segment():
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))
 def test_locate_always_in_bounds(xs):
     bins = _bins([-2.0, 0.5, 1.0, 7.0])
-    idx, frac = E.locate_segments(np.array(xs), bins)
+    idx, frac = E.locate_segments(np.array(xs), bins.boundaries, bins.n_quantiles)
     assert np.all((0 <= idx) & (idx <= bins.n_quantiles - 2))
     assert np.all((0.0 <= frac) & (frac <= 1.0))
 
@@ -76,7 +81,7 @@ def test_locate_always_in_bounds(xs):
 def _embed(feat, xs, rate=0.0, rng=None):
     """Embed non-missing values -> [len(xs), embed_dim]; stochastic iff rng is given."""
     xs = np.asarray(xs, dtype=np.float64)
-    return feat.embed_column(xs, np.zeros(len(xs), dtype=bool), rate, rng is not None, rng).data
+    return embed_numerical(feat, xs, np.zeros(len(xs), dtype=bool), rate, rng is not None, rng).data
 
 
 def test_embed_at_boundary_is_exact_row():
@@ -102,14 +107,15 @@ def test_embed_masked_fraction():
     n = 100_000
     rng = np.random.default_rng(99)
     vals = np.linspace(0, 1, n)
-    out = feat.embed_column(vals, np.zeros(n, dtype=bool), 0.1, True, rng).data
+    out = embed_numerical(feat, vals, np.zeros(n, dtype=bool), 0.1, True, rng).data
     frac = float((out == feat.masked_vector.data).all(axis=1).mean())
     assert abs(frac - 0.1) < 0.006
 
 
 def test_missing_value_masked_even_in_eval():
     feat = _num_feat([0, 10, 20])
-    out = feat.embed_column(
+    out = embed_numerical(
+        feat,
         np.array([3.0]), np.array([True]), 0.0, False, None
     ).data
     assert np.array_equal(out[0], feat.masked_vector.data)
@@ -117,8 +123,8 @@ def test_missing_value_masked_even_in_eval():
 
 def test_masked_output_independent_of_value():
     feat = _num_feat([0, 10, 20])
-    a = feat.embed_column(np.array([3.0]), np.array([True]), 0.0, False, None).data
-    b = feat.embed_column(np.array([99.0]), np.array([True]), 0.0, False, None).data
+    a = embed_numerical(feat, np.array([3.0]), np.array([True]), 0.0, False, None).data
+    b = embed_numerical(feat, np.array([99.0]), np.array([True]), 0.0, False, None).data
     assert np.array_equal(a, b)
     assert np.array_equal(a[0], feat.masked_vector.data)
 
@@ -126,7 +132,7 @@ def test_masked_output_independent_of_value():
 def test_gradient_hits_exactly_the_used_rows():
     feat = _num_feat([0, 10, 20])
     with T.Tape() as tape:
-        out = feat.embed_column(np.array([15.0]), np.array([False]), 0.0, False, None)
+        out = embed_numerical(feat, np.array([15.0]), np.array([False]), 0.0, False, None)
         loss = T.sum_all(out)
     T.backward(tape, loss)
     g = feat.table.grad
@@ -139,7 +145,7 @@ def test_gradient_hits_exactly_the_used_rows():
 def test_gradient_of_masked_value_hits_masked_vector_only():
     feat = _num_feat([0, 10, 20])
     with T.Tape() as tape:
-        out = feat.embed_column(np.array([15.0]), np.array([True]), 0.0, False, None)
+        out = embed_numerical(feat, np.array([15.0]), np.array([True]), 0.0, False, None)
         loss = T.sum_all(out)
     T.backward(tape, loss)
     assert np.all(feat.table.grad == 0.0)
@@ -187,26 +193,26 @@ def _cat_feat(vocab_size=3, embed_dim=4, seed=1):
 
 def test_categorical_plain_lookup():
     feat = _cat_feat()
-    out = feat.embed_column(np.array([2]), 0.0, False, None)
+    out = embed_categorical(feat, np.array([2]), 0.0, False, None)
     assert np.array_equal(out.data[0], feat.table.data[2])
 
 
 def test_categorical_masked_id_lookup():
     feat = _cat_feat()
-    out = feat.embed_column(np.array([feat.masked_id]), 0.0, False, None)
+    out = embed_categorical(feat, np.array([feat.masked_id]), 0.0, False, None)
     assert np.array_equal(out.data[0], feat.table.data[feat.masked_id])
 
 
 def test_categorical_mask_rate_one():
     feat = _cat_feat()
-    out = feat.embed_column(np.array([0]), 1.0, True, np.random.default_rng(3))
+    out = embed_categorical(feat, np.array([0]), 1.0, True, np.random.default_rng(3))
     assert np.array_equal(out.data[0], feat.table.data[feat.masked_id])
 
 
 def test_categorical_invalid_id_names_feature():
     feat = _cat_feat()
     with pytest.raises(IndexRangeError) as exc:
-        feat.embed_column(np.array([17]), 0.0, False, None)
+        embed_categorical(feat, np.array([17]), 0.0, False, None)
     assert "c" in str(exc.value) and "17" in str(exc.value)
 
 
@@ -215,8 +221,6 @@ def test_categorical_invalid_id_names_feature():
 
 
 def _tiny_prep():
-    from rulenet.data import Preprocessing
-
     schema = DatasetSchema(
         [
             ColumnSpec("a", "numerical", True, None),
@@ -249,7 +253,8 @@ def test_embed_row_stacks_in_schema_order():
     out = feats.embed_row(_tiny_batch(), NO_MASK, train_mode=False)
     assert out.shape == (2, 3, 4)
     # token 0 = feature "a", token 1 = "c", token 2 = "b" (file order)
-    a0 = feats.numerical[0].embed_column(
+    a0 = embed_numerical(
+        feats.numerical[0],
         np.array([0.5]), np.array([False]), 0.0, False, None
     ).data[0]
     c0 = feats.categorical[0].table.data[0]
@@ -274,10 +279,122 @@ def test_embed_row_eval_masks_only_missing():
     out = feats.embed_row(batch, E.MaskingPolicy(0.5, 0.5), train_mode=False).data
     assert np.array_equal(out[1, 0], feats.numerical[0].masked_vector.data)
     # the non-missing cell is never masked in eval mode
-    plain = feats.numerical[0].embed_column(
+    plain = embed_numerical(
+        feats.numerical[0],
         np.array([0.5]), np.array([False]), 0.0, False, None
     ).data[0]
     assert np.array_equal(out[0, 0], plain)
+
+
+@st.composite
+def _feature_blocks(draw):
+    """A random FeatureEmbeddings and a batch for it: interleaved kinds,
+    n_q per feature, missing cells (NaN, so a located one would raise)."""
+    kinds = draw(st.lists(st.sampled_from("nc"), min_size=1, max_size=6))
+    rows = draw(st.integers(1, 5))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    value = st.floats(-100.0, 100.0, allow_subnormal=False)
+    columns, numerical, categorical = [], [], []
+    numeric, missing, ids = [], [], []
+    for i, kind in enumerate(kinds):
+        name = f"f{i}"
+        if kind == "n":
+            n_q = draw(st.integers(2, 5))
+            bounds = sorted(draw(st.lists(value, min_size=n_q, max_size=n_q)))
+            numerical.append(
+                E.NumericalFeatureEmbedding.build(name, _bins(bounds, name), 3, rng, dtype)
+            )
+            gone = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+            xs = draw(st.lists(st.floats(-150.0, 150.0), min_size=rows, max_size=rows))
+            numeric.append([float("nan") if g else x for g, x in zip(gone, xs)])
+            missing.append(gone)
+            columns.append(ColumnSpec(name, "numerical", True, None))
+        else:
+            vocab = [f"v{k}" for k in range(draw(st.integers(1, 3)))]
+            col = ColumnSpec(name, "categorical", False, vocab)
+            categorical.append(
+                E.CategoricalFeatureEmbedding.build(
+                    name, col.table_size, col.masked_id, 3, rng, dtype
+                )
+            )
+            cell = st.integers(0, col.table_size - 1)
+            ids.append(draw(st.lists(cell, min_size=rows, max_size=rows)))
+            columns.append(col)
+    schema = DatasetSchema(columns + [ColumnSpec("y", "target", True, None)], task="regression")
+    batch = Batch(
+        numeric=np.array(numeric, dtype=np.float64).reshape(-1, rows).T,
+        numeric_missing=np.array(missing, dtype=bool).reshape(-1, rows).T,
+        categorical=np.array(ids, dtype=np.int64).reshape(-1, rows).T,
+        target=None,
+        n_rows=rows,
+    )
+    return E.FeatureEmbeddings(schema, numerical, categorical), batch
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _feature_blocks(),
+    st.sampled_from([0.0, 0.3, 0.5]),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+def test_embed_row_matches_per_cell_reference(block, rate, train_mode, seed):
+    feats, batch = block
+    policy = E.MaskingPolicy(rate)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = feats.embed_row(batch, policy, train_mode, got_rng).data
+    want = ref_embed_row(feats, batch, policy, train_mode, want_rng)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    # the same number of mask draws was consumed
+    assert got_rng.random() == want_rng.random()
+
+
+def _two_categorical_embeddings():
+    schema = DatasetSchema(
+        [
+            ColumnSpec("a", "numerical", True, None),
+            ColumnSpec("c", "categorical", False, ["u", "v"]),
+            ColumnSpec("d", "categorical", False, ["p", "q", "r"]),
+            ColumnSpec("y", "target", True, None),
+        ],
+        task="regression",
+    )
+    prep = Preprocessing(schema=schema, bins={"a": _bins([0, 1, 2], "a")}, normalizer=None)
+    return E.FeatureEmbeddings.build(prep, 4, np.random.default_rng(0), np.float64)
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+@pytest.mark.parametrize("beyond", [0, 1, -1])
+@pytest.mark.parametrize("j", [0, 1])
+def test_out_of_range_id_never_reads_a_neighbouring_table(j, beyond, train_mode):
+    """The tables are stacked, so an id past one feature's table would land
+    in the next one's: each feature's ids are checked against its own table,
+    before any are masked."""
+    feats = _two_categorical_embeddings()
+    feat = feats.categorical[j]
+    size = feat.table.shape[0]
+    bad = -1 if beyond < 0 else size + beyond
+    ids = np.array([[1, 2], [0, 1]])
+    ids[1, j] = bad
+    batch = Batch(np.array([[0.5], [1.5]]), np.zeros((2, 1), dtype=bool), ids, None, 2)
+    with pytest.raises(IndexRangeError, match=f"'{feat.name}': id {bad} "):
+        feats.embed_row(batch, E.MaskingPolicy(1.0), train_mode, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("numerical, ops", [(True, 5), (False, 3)])
+def test_embed_row_tape_ops_do_not_grow_with_features(numerical, ops):
+    counts = []
+    for m in (8, 128):
+        n_num = m - 2 if numerical else 0
+        prep, enc = make_dataset(rows=4, n_num=n_num, n_cat=m - n_num)
+        feats = E.FeatureEmbeddings.build(prep, 4, np.random.default_rng(0), np.float32)
+        for train_mode in (False, True):
+            with T.Tape() as tape:
+                feats.embed_row(enc, E.MaskingPolicy(0.3), train_mode, np.random.default_rng(1))
+            counts.append(len(tape.entries))
+    assert counts == [ops] * 4
 
 
 # ---------------------------------------------------------------------------
