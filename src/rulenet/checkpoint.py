@@ -125,8 +125,16 @@ def atomic_open(path, binary: bool = False):
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         if isinstance(e, OSError):
-            raise ArtifactWriteError(f"cannot write {os.fspath(path)}: {e.strerror or e}") from e
+            raise ArtifactWriteError.at(path, e) from e
         raise
+
+
+def make_dirs(path) -> None:
+    """os.makedirs(path, exist_ok=True), failing as an ArtifactWriteError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ArtifactWriteError.at(path, e) from e
 
 
 def load_checkpoint(path) -> RuleNetModel:

@@ -29,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
-from .data import TASK_CLASSIFICATION, encode, prepare, read_table
+from .checkpoint import atomic_open, load_checkpoint, make_dirs, save_checkpoint
+from .data import TASK_CLASSIFICATION, TASK_REGRESSION, encode, prepare, read_table
 from .ensemble import predict_ensemble, predict_point
 from .errors import (
     CheckpointError,
@@ -87,12 +87,13 @@ def exit_code_for(err: RuleNetError) -> int:
 # ---------------------------------------------------------------------------
 # run configuration file
 
-# model hyperparameters that may appear in a run config file; n_features,
-# task and n_classes always come from the data
+# the model fields fixed by the data: a run config file may carry them (the
+# config.json a run echoes does), and they must then agree with the data
+DATA_KEYS = ("n_features", "n_classes")
+
+# model hyperparameters that may appear in a run config file
 MODEL_KEYS = tuple(
-    f.name
-    for f in dataclasses.fields(RuleNetConfig)
-    if f.name not in ("n_features", "task", "n_classes")
+    f.name for f in dataclasses.fields(RuleNetConfig) if f.name not in DATA_KEYS + ("task",)
 )
 
 RUN_DEFAULTS = {
@@ -101,12 +102,24 @@ RUN_DEFAULTS = {
     "task": None,  # "regression" / "classification"; default: inferred
     "fractions": (0.6, 0.2, 0.2),  # train/val/test
     "seed": 0,
-    "ensemble_k": 16,  # rollouts for prediction with --ensemble
     "metric": None,  # "rmse" / "accuracy"; default: by task
     "dtype": "float32",
 }
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
+
+
+def _read_json_object(path, what: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as e:
+        raise ConfigError(f"cannot read {what} file {path}: {e}") from e
+    except ValueError as e:  # invalid JSON or invalid UTF-8
+        raise ConfigError(f"{what} file {path} is not valid JSON: {e}") from e
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} file {path} must hold a JSON object")
+    return obj
 
 
 def resolve_run_config(config_path=None, **flag_overrides) -> dict:
@@ -117,16 +130,8 @@ def resolve_run_config(config_path=None, **flag_overrides) -> dict:
             resolved[f.name] = f.default
 
     if config_path is not None:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except OSError as e:
-            raise ConfigError(f"cannot read config file {config_path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file {config_path} is not valid JSON: {e}") from e
-        if not isinstance(obj, dict):
-            raise ConfigError(f"config file {config_path} must hold a JSON object")
-        unknown = set(obj) - set(resolved)
+        obj = _read_json_object(config_path, "config")
+        unknown = set(obj) - set(resolved) - set(DATA_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         resolved.update(obj)
@@ -150,7 +155,7 @@ def _prepare_from(cfg: dict):
     if not cfg["data"]:
         raise ConfigError('no dataset: pass --data or set "data" in the config file')
     hint = {cfg["target"]: "target"} if cfg["target"] else None
-    return prepare(
+    prepared = prepare(
         cfg["data"],
         n_quantiles=cfg["n_quantiles"],
         fractions=cfg["fractions"],
@@ -158,6 +163,11 @@ def _prepare_from(cfg: dict):
         schema_hint=hint,
         task=cfg["task"],
     )
+    for key in DATA_KEYS:
+        found = getattr(prepared.prep.schema, key)
+        if key in cfg and cfg[key] != found:
+            raise ConfigError(f"config says {key} = {cfg[key]}, the data gives {found}")
+    return prepared
 
 
 def _write_json(path, obj) -> None:
@@ -187,7 +197,7 @@ def cmd_train(args) -> int:
     prep, splits = prepared.prep, prepared.splits
     config = RuleNetConfig.for_schema(prep.schema, **{k: cfg[k] for k in MODEL_KEYS})
 
-    os.makedirs(args.out, exist_ok=True)
+    make_dirs(args.out)
     history_path = os.path.join(args.out, "history.jsonl")
     model, history = train(
         prep,
@@ -289,13 +299,7 @@ def cmd_hpo(args) -> int:
     prep, splits = prepared.prep, prepared.splits
 
     if args.space:
-        try:
-            with open(args.space, "r", encoding="utf-8") as fh:
-                space_obj = json.load(fh)
-        except OSError as e:
-            raise ConfigError(f"cannot read space file {args.space}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"space file {args.space} is not valid JSON: {e}") from e
+        space_obj = _read_json_object(args.space, "space")
         space = SearchSpace.from_json(space_obj, batch_size=cfg["batch_size"])
         if "epochs" not in space_obj:
             space = space.pin("epochs", cfg["epochs"])
@@ -310,6 +314,7 @@ def cmd_hpo(args) -> int:
     space = space.constrained(switches)
     rungs = _parse_rungs(args.rungs) if args.rungs else DEFAULT_RUNGS
 
+    make_dirs(args.out)
     best, records = run_study(
         space,
         prep,
@@ -321,7 +326,6 @@ def cmd_hpo(args) -> int:
         workers=args.workers,
     )
 
-    os.makedirs(args.out, exist_ok=True)
     write_study_files(args.out, best, records, space)
     _echo_config(
         args.out,
@@ -357,22 +361,14 @@ def cmd_hpo(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read config file {args.config}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config file {args.config} is not valid JSON: {e}") from e
-    if "n_features" not in obj:
+    cfg = resolve_run_config(args.config)
+    if "n_features" not in cfg:
         raise ConfigError('flops config needs "n_features"')
-    # accept a train run's echoed config.json: run-level keys are fine here,
-    # anything else is still a typo worth failing on
-    model_fields = {f.name for f in dataclasses.fields(RuleNetConfig)}
-    unknown = set(obj) - model_fields - set(RUN_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    config = RuleNetConfig.from_json({k: v for k, v in obj.items() if k in model_fields})
+    config = RuleNetConfig(
+        task=cfg["task"] or TASK_REGRESSION,
+        **{k: cfg[k] for k in MODEL_KEYS},
+        **{k: cfg[k] for k in DATA_KEYS if k in cfg},
+    )
     config.validate()
 
     est = estimate_flops(config)

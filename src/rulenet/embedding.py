@@ -6,8 +6,9 @@ located in its fitted quantile segment [q_i, q_{i+1}] and embedded as
 and each parameter vector receives gradient only when its segment is hit.
 Categorical features are plain table lookups with reserved UNK and MASKED
 rows. Stochastic masking (the model's regularizer and its missing-value
-channel) swaps a feature's embedding for a learnable masked vector. The
-whole feature block is one lookup (the batched piecewise-linear encoding of
+channel) swaps a feature's embedding for a learnable masked vector; it draws
+only when the caller passes an rng, and without one a pass is deterministic.
+The whole feature block is one lookup (the batched piecewise-linear encoding of
 Gorishniy et al. 2022, arXiv:2203.05556), so its tape ops do not grow with M.
 """
 
@@ -21,18 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Batch, DatasetSchema, Preprocessing, QuantileBins
-from .errors import ConfigError, ContractError, IndexRangeError
-
-
-@dataclass
-class MaskingPolicy:
-    mask_rate: float = 0.0
-    rule_mask_rate: float = 0.0
-
-    def validate(self) -> None:
-        for name, p in (("mask_rate", self.mask_rate), ("rule_mask_rate", self.rule_mask_rate)):
-            if not 0.0 <= p <= 0.5:
-                raise ConfigError(f"{name} must lie in [0, 0.5], got {p}")
+from .errors import ContractError, IndexRangeError
 
 
 def _mask_draws(rate: float, shape, rng: np.random.Generator) -> np.ndarray:
@@ -162,18 +152,15 @@ class FeatureEmbeddings:
             yield f"embed.cat.{f.name}.table", f.table
 
     def embed_row(
-        self,
-        batch: Batch,
-        policy: MaskingPolicy,
-        train_mode: bool,
-        rng: Optional[np.random.Generator] = None,
+        self, batch: Batch, mask_rate: float, rng: Optional[np.random.Generator] = None
     ) -> T.Tensor:
         """Embed a batch -> [rows, n_features, embed_dim].
 
-        Tokens follow schema feature order; masking draws are i.i.d. per row
-        and feature, consumed feature by feature in that same order
-        (deterministic per rng). Missing numerical cells are always masked.
-        No positional information is added.
+        Tokens follow schema feature order. With an rng, each cell is masked
+        with probability mask_rate, the draws i.i.d. per row and feature and
+        consumed feature by feature in that same order (deterministic per
+        rng); without one, nothing is drawn. Missing numerical cells are
+        always masked. No positional information is added.
         """
         n_num, n_cat = len(self.numerical), len(self.categorical)
         if batch.numeric.shape[1] != n_num or batch.categorical.shape[1] != n_cat:
@@ -190,8 +177,8 @@ class FeatureEmbeddings:
                 f"outside [0, {self._sizes[n_num + j]})"
             )
         masked = np.hstack([batch.numeric_missing, np.zeros(ids.shape, dtype=bool)])
-        if train_mode:
-            drawn = _mask_draws(policy.mask_rate, (n_num + n_cat, batch.n_rows), rng)
+        if rng is not None:
+            drawn = _mask_draws(mask_rate, (n_num + n_cat, batch.n_rows), rng)
             masked |= drawn[self._position].T
         idx, frac = locate_segments(
             np.where(masked[:, :n_num], 0.0, batch.numeric), self._boundaries, self._n_quantiles
@@ -234,16 +221,14 @@ class RuleEmbeddings:
 
 
 def rule_tokens(
-    rules: RuleEmbeddings,
-    policy: MaskingPolicy,
-    train_mode: bool,
-    rng: Optional[np.random.Generator] = None,
+    rules: RuleEmbeddings, rate: float, rng: Optional[np.random.Generator] = None
 ) -> T.Tensor:
-    """The batch's rule tokens [n_rules, embed_dim]; masking is per batch."""
+    """The batch's rule tokens [n_rules, embed_dim]; with an rng, each rule
+    is masked with probability rate, drawn once per batch."""
     n = rules.n_rules
-    if not train_mode or policy.rule_mask_rate <= 0.0:
+    if rng is None or rate <= 0.0:
         return rules.rules
-    swap = _mask_draws(policy.rule_mask_rate, n, rng)
+    swap = _mask_draws(rate, n, rng)
     if not swap.any():
         return rules.rules
     sel = np.where(swap, n, np.arange(n))

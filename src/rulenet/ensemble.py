@@ -2,9 +2,10 @@
 
 A trained model is rolled out K times with its stochastic elements left on
 (feature masking, rule masking, dropout); the rollouts are averaged into a
-mean prediction and their spread becomes a per-row uncertainty. Each rollout
-draws from its own rng stream keyed by (seed, rollout index), so results do
-not depend on evaluation order and rollouts could run concurrently.
+mean prediction and their spread becomes a per-row uncertainty. A rollout is
+training.predict_split handed an rng, its own stream keyed by (seed, rollout
+index), so results do not depend on evaluation order and rollouts could run
+concurrently.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from typing import Optional
 import numpy as np
 from scipy.special import softmax as sp_softmax
 
-from .data import EncodedSplit, TASK_REGRESSION, take_rows
+from .data import EncodedSplit, TASK_REGRESSION
 from .errors import ConfigError
 from .model import RuleNetModel
-from .training import EVAL_CHUNK, predict_split
+from .training import predict_split
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,9 @@ def aggregate_scalar(rollouts: np.ndarray) -> tuple:
     return base + shifted_mean, std
 
 
-def _one_rollout(model: RuleNetModel, split_: EncodedSplit, rng) -> np.ndarray:
-    """One stochastic pass over the whole split, in fixed-size chunks."""
-    outs = []
-    for lo in range(0, split_.n_rows, EVAL_CHUNK):
-        idx = np.arange(lo, min(lo + EVAL_CHUNK, split_.n_rows))
-        outs.append(model.forward(take_rows(split_, idx), "rollout", rng=rng).data)
-    raw = np.concatenate(outs, axis=0).astype(np.float64)
+def _target_units(model: RuleNetModel, raw: np.ndarray) -> np.ndarray:
+    """Raw outputs -> denormalized values (regression) or class probabilities."""
+    raw = raw.astype(np.float64)
     if model.config.task == TASK_REGRESSION:
         return model.prep.normalizer.denormalize(raw)
     return sp_softmax(raw, axis=1)
@@ -73,22 +70,15 @@ def predict_ensemble(
     """K stochastic rollouts aggregated per row."""
     if k < 1:
         raise ConfigError(f"ensemble size must be >= 1, got {k}")
-    rollouts = np.stack(
-        [_one_rollout(model, split_, np.random.default_rng([seed, i])) for i in range(k)]
-    )
-    if model.config.task == TASK_REGRESSION:
-        mean, std = aggregate_scalar(rollouts)
-    else:
-        mean, _ = aggregate_scalar(rollouts)
+    rngs = (np.random.default_rng([seed, i]) for i in range(k))
+    rollouts = np.stack([_target_units(model, predict_split(model, split_, r)) for r in rngs])
+    mean, std = aggregate_scalar(rollouts)
+    if model.config.task != TASK_REGRESSION:
         winner = np.argmax(mean, axis=1)
-        winning_prob = rollouts[:, np.arange(split_.n_rows), winner]
-        _, std = aggregate_scalar(winning_prob)
+        _, std = aggregate_scalar(rollouts[:, np.arange(split_.n_rows), winner])
     return EnsemblePrediction(mean, std, k, rollouts if keep_rollouts else None)
 
 
 def predict_point(model: RuleNetModel, split_: EncodedSplit) -> np.ndarray:
     """Single deterministic eval-mode pass, in the same units as the ensemble."""
-    raw = predict_split(model, split_).astype(np.float64)
-    if model.config.task == TASK_REGRESSION:
-        return model.prep.normalizer.denormalize(raw)
-    return sp_softmax(raw, axis=1)
+    return _target_units(model, predict_split(model, split_))

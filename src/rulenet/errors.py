@@ -27,6 +27,10 @@ class ConfigError(RuleNetError):
 class ArtifactWriteError(ConfigError, OSError):
     """An output file could not be written; names the path the caller gave."""
 
+    @classmethod
+    def at(cls, path, err: OSError) -> "ArtifactWriteError":
+        return cls(f"cannot write {path}: {err.strerror or err}")
+
 
 class IngestionError(RuleNetError):
     """CSV could not be read into a table (ragged rows, empty file, ...)."""

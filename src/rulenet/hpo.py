@@ -27,7 +27,7 @@ from .checkpoint import atomic_open
 from .data import DatasetSchema, EncodedSplit, Preprocessing, fit_quantiles
 from .errors import ConfigError, RuleNetError, StudyError
 from .model import RuleNetConfig
-from .training import METRIC_RMSE, Trainer, default_metric
+from .training import METRIC_RMSE, Trainer, default_metric, train
 
 DEFAULT_RUNGS = (11, 33, 100)
 REDUCTION_FACTOR = 3
@@ -336,13 +336,11 @@ def run_study(
 
 def finalize_best(prep, train_split, val_split, best: TrialRecord, seed: int):
     """Retrain the winning config to completion and hand back the model."""
-    trainer = Trainer(
+    return train(
         rebinned(prep, train_split, best.config.n_quantiles),
         train_split, val_split, best.config,
         seed=_trial_seed(seed, best.trial_id),
     )
-    trainer.run_until(best.config.epochs)
-    return trainer.finalize()
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +398,7 @@ def sensitivity(records, param: str, n_buckets: int = 5) -> list:
 
 
 def write_study_files(out_dir, best: TrialRecord, records, space: SearchSpace) -> None:
-    """Study artifacts: one JSON line per trial, plus a summary."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Study artifacts in an existing directory: one JSON line per trial, plus a summary."""
     with atomic_open(os.path.join(out_dir, "trials.jsonl")) as fh:
         for r in records:
             fh.write(json.dumps(r.to_json()) + "\n")

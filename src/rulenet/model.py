@@ -10,6 +10,10 @@ Max-pool over the rule axis and a linear head produce the prediction.
 
 With decoder_layers = 0 the rule stack is skipped entirely and the head
 pools the encoder output (the no-decoder variant).
+
+RuleNetModel.forward turns its mode into randomness: "train" and "rollout"
+pass their rng down, "eval" passes none. Feature masking, rule masking and
+dropout draw only when they are handed an rng.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Batch, DatasetSchema, Preprocessing, TASK_CLASSIFICATION, TASK_REGRESSION
-from .embedding import FeatureEmbeddings, MaskingPolicy, RuleEmbeddings, rule_tokens
+from .embedding import FeatureEmbeddings, RuleEmbeddings, rule_tokens
 from .errors import ConfigError, ContractError
 
 MODES = ("train", "eval", "rollout")
@@ -80,7 +84,10 @@ class RuleNetConfig:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by n_heads {self.n_heads}"
             )
-        MaskingPolicy(self.mask_rate, self.rule_mask_rate).validate()
+        for name in ("mask_rate", "rule_mask_rate"):
+            p = getattr(self, name)
+            if not 0.0 <= p <= 0.5:
+                raise ConfigError(f"{name} must lie in [0, 0.5], got {p}")
         for name in ("transformer_dropout", "head_dropout"):
             p = getattr(self, name)
             if not 0.0 <= p < 1.0:
@@ -98,9 +105,6 @@ class RuleNetConfig:
     @property
     def n_outputs(self) -> int:
         return self.n_classes if self.task == TASK_CLASSIFICATION else 1
-
-    def policy(self) -> MaskingPolicy:
-        return MaskingPolicy(self.mask_rate, self.rule_mask_rate)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -203,24 +207,17 @@ class TransformerLayer:
         merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (rows, n_q_tokens, self.embed_dim))
         return self.wo(merged)
 
-    def __call__(
-        self,
-        x: T.Tensor,
-        memory: Optional[T.Tensor],
-        p_drop: float,
-        rng,
-        stochastic: bool,
-    ) -> T.Tensor:
+    def __call__(self, x: T.Tensor, memory: Optional[T.Tensor], p_drop: float, rng) -> T.Tensor:
         h = self.norm_attn(x)
         if memory is None:
             q_in, kv_in = h, h
         else:
             q_in = h
             kv_in = T.concat([self.norm_attn(memory), h], axis=1)
-        a = T.dropout(self._attend(q_in, kv_in), p_drop, rng, stochastic)
+        a = T.dropout(self._attend(q_in, kv_in), p_drop, rng)
         x = T.add(x, a)
         f = self.ff2(T.gelu(self.ff1(self.norm_ff(x))))
-        f = T.dropout(f, p_drop, rng, stochastic)
+        f = T.dropout(f, p_drop, rng)
         return T.add(x, f)
 
     def parameters(self, prefix: str):
@@ -286,22 +283,22 @@ class RuleNetModel:
 
     # -- forward -----------------------------------------------------------
 
-    def encoder_forward(self, embedded: T.Tensor, rng=None, stochastic=False) -> T.Tensor:
+    def encoder_forward(self, embedded: T.Tensor, rng=None) -> T.Tensor:
         x = embedded
         for layer in self.encoder:
-            x = layer(x, None, self.config.transformer_dropout, rng, stochastic)
+            x = layer(x, None, self.config.transformer_dropout, rng)
         return x
 
-    def decoder_forward(self, encoded: T.Tensor, rules: T.Tensor, rng=None, stochastic=False) -> T.Tensor:
+    def decoder_forward(self, encoded: T.Tensor, rules: T.Tensor, rng=None) -> T.Tensor:
         rows = encoded.shape[0]
         x = T.broadcast_rows(rules, rows)
         for layer in self.decoder:
-            x = layer(x, encoded, self.config.transformer_dropout, rng, stochastic)
+            x = layer(x, encoded, self.config.transformer_dropout, rng)
         return x
 
-    def head_forward(self, decoded: T.Tensor, rng=None, stochastic=False) -> T.Tensor:
+    def head_forward(self, decoded: T.Tensor, rng=None) -> T.Tensor:
         pooled = T.maxpool(self.final_norm(decoded), axis=1)
-        pooled = T.dropout(pooled, self.config.head_dropout, rng, stochastic)
+        pooled = T.dropout(pooled, self.config.head_dropout, rng)
         out = self.head(pooled)
         if self.config.task == TASK_REGRESSION:
             return T.reshape(out, (out.shape[0],))
@@ -311,18 +308,19 @@ class RuleNetModel:
         """Predictions: [rows] normalized units (regression) or [rows, n_classes] logits."""
         if mode not in MODES:
             raise ContractError(f"unknown mode {mode!r}, expected one of {MODES}")
-        stochastic = mode in ("train", "rollout")
-        if stochastic and rng is None:
+        if mode == "eval":
+            rng = None
+        elif rng is None:
             raise ContractError(f"{mode} mode needs an rng stream")
-        policy = self.config.policy()
-        embedded = self.features.embed_row(batch, policy, stochastic, rng)
-        encoded = self.encoder_forward(embedded, rng, stochastic)
+        cfg = self.config
+        embedded = self.features.embed_row(batch, cfg.mask_rate, rng)
+        encoded = self.encoder_forward(embedded, rng)
         if self.decoder:
-            rules = rule_tokens(self.rules, policy, stochastic, rng)
-            stack = self.decoder_forward(encoded, rules, rng, stochastic)
+            rules = rule_tokens(self.rules, cfg.rule_mask_rate, rng)
+            stack = self.decoder_forward(encoded, rules, rng)
         else:
             stack = encoded
-        return self.head_forward(stack, rng, stochastic)
+        return self.head_forward(stack, rng)
 
     # -- parameters ----------------------------------------------------------
 

@@ -90,7 +90,6 @@ class Tape:
     def __init__(self):
         self.entries: list[OpRecord] = []
         self.consumed = False
-        self._produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
         if getattr(_TLS, "tape", None) is not None:
@@ -104,7 +103,6 @@ class Tape:
 
     def record(self, op: str, inputs: tuple, output: Tensor, ctx: tuple) -> None:
         self.entries.append(OpRecord(op, inputs, output, ctx))
-        self._produced.add(id(output))
 
 
 def _keep_freed_memory_mapped() -> None:
@@ -456,10 +454,11 @@ def _attention_probs_bwd(rec: OpRecord, g: np.ndarray):
 # regularizers
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, active: bool) -> Tensor:
+def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
+    """Inverted dropout at rate p; the identity when rng is None."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout rate must satisfy 0 <= p < 1, got {p=}")
-    if not active or p == 0.0:
+    if rng is None or p == 0.0:
         return x
     keep = (rng.random(x.data.shape) >= p).astype(x.dtype)
     keep /= np.asarray(1.0 - p, dtype=x.dtype)
@@ -634,27 +633,20 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ContractError("backward: tape already swept; record a fresh tape")
     tape.consumed = True
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    # id -> (tensor, gradient); an op output's entry is complete, and popped,
+    # at its own record, so what is left belongs to tensors no record produced
+    grads: dict[int, tuple] = {id(loss): (loss, np.ones_like(loss.data))}
     for rec in reversed(tape.entries):
-        g = grads.pop(id(rec.output), None)
-        if g is None:
+        entry = grads.pop(id(rec.output), None)
+        if entry is None:
             continue
-        parts = _BACKWARD[rec.op](rec, g)
+        parts = _BACKWARD[rec.op](rec, entry[1])
         for t, gi in zip(rec.inputs, parts):
             if gi is None or not t.requires_grad:
                 continue
             acc = grads.get(id(t))
-            grads[id(t)] = gi if acc is None else acc + gi
+            grads[id(t)] = (t, gi if acc is None else acc[1] + gi)
 
-    produced = tape._produced
-    done: set[int] = set()
-    for rec in tape.entries:
-        for t in rec.inputs:
-            key = id(t)
-            if key in done or key in produced or not t.requires_grad:
-                continue
-            g = grads.get(key)
-            if g is None:
-                continue
+    for t, g in grads.values():
+        if t.requires_grad:
             t.grad = g if t.grad is None else t.grad + g
-            done.add(key)

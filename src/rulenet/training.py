@@ -25,7 +25,7 @@ from .data import (
     make_batches,
     take_rows,
 )
-from .errors import ConfigError, ContractError, DivergenceError, IndexRangeError
+from .errors import ArtifactWriteError, ConfigError, ContractError, DivergenceError, IndexRangeError
 from .model import RuleNetConfig, RuleNetModel
 
 METRIC_RMSE = "rmse"
@@ -169,12 +169,14 @@ def onecycle_lr(step: int, total_steps: int, max_lr: float) -> float:
 # evaluation
 
 
-def predict_split(model: RuleNetModel, split_: EncodedSplit) -> np.ndarray:
-    """Deterministic eval-mode predictions, computed in fixed-size chunks."""
+def predict_split(model: RuleNetModel, split_: EncodedSplit, rng=None) -> np.ndarray:
+    """Raw predictions in fixed-size chunks: the deterministic eval-mode
+    pass, or with an rng a stochastic rollout drawing from it."""
+    mode = "eval" if rng is None else "rollout"
     outs = []
     for lo in range(0, split_.n_rows, EVAL_CHUNK):
         idx = np.arange(lo, min(lo + EVAL_CHUNK, split_.n_rows))
-        outs.append(model.forward(take_rows(split_, idx), "eval").data)
+        outs.append(model.forward(take_rows(split_, idx), mode, rng=rng).data)
     return np.concatenate(outs, axis=0)
 
 
@@ -326,8 +328,12 @@ class Trainer:
                     "val_metric": score,
                     "lr": lr,
                 }
-                with open(self.metrics_path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(record) + "\n")
+                mode = "w" if epoch == 0 else "a"  # a run starts the file afresh
+                try:
+                    with open(self.metrics_path, mode, encoding="utf-8") as fh:
+                        fh.write(json.dumps(record) + "\n")
+                except OSError as e:
+                    raise ArtifactWriteError.at(self.metrics_path, e) from e
         return self.history.best_val_metric
 
     def finalize(self) -> tuple:

@@ -6,7 +6,7 @@ import numpy as np
 
 from rulenet import data as D
 from rulenet import tensor as T
-from rulenet.embedding import FeatureEmbeddings, MaskingPolicy
+from rulenet.embedding import FeatureEmbeddings
 from rulenet.model import RuleNetConfig, RuleNetModel
 
 
@@ -76,7 +76,7 @@ def tiny_model(seed=0, dtype=np.float64, task="regression", rows=8, missing_rate
 # one feature's column through FeatureEmbeddings.embed_row
 
 
-def _embed_one(feat, kind, numeric, missing, ids, rate, stochastic, rng) -> T.Tensor:
+def _embed_one(feat, kind, numeric, missing, ids, rate, rng) -> T.Tensor:
     schema = D.DatasetSchema(
         [D.ColumnSpec(feat.name, kind), D.ColumnSpec("y", D.KIND_TARGET)], task="regression"
     )
@@ -84,12 +84,12 @@ def _embed_one(feat, kind, numeric, missing, ids, rate, stochastic, rng) -> T.Te
     rows = len(numeric)
     batch = D.Batch(numeric, missing, ids, None, rows)
     out = FeatureEmbeddings(schema, numerical, categorical).embed_row(
-        batch, MaskingPolicy(rate), stochastic, rng
+        batch, rate, rng
     )
     return T.reshape(out, (rows, -1))
 
 
-def embed_numerical(feat, values, missing, rate, stochastic, rng) -> T.Tensor:
+def embed_numerical(feat, values, missing, rate, rng) -> T.Tensor:
     """Embed one numerical column of raw values -> [rows, embed_dim]."""
     values = np.asarray(values, dtype=np.float64)
     return _embed_one(
@@ -99,12 +99,11 @@ def embed_numerical(feat, values, missing, rate, stochastic, rng) -> T.Tensor:
         np.asarray(missing, dtype=bool)[:, None],
         np.zeros((len(values), 0), dtype=np.int64),
         rate,
-        stochastic,
         rng,
     )
 
 
-def embed_categorical(feat, ids, rate, stochastic, rng) -> T.Tensor:
+def embed_categorical(feat, ids, rate, rng) -> T.Tensor:
     """Embed one categorical column of ids -> [rows, embed_dim]."""
     ids = np.asarray(ids, dtype=np.int64)
     rows = len(ids)
@@ -115,6 +114,5 @@ def embed_categorical(feat, ids, rate, stochastic, rng) -> T.Tensor:
         np.zeros((rows, 0), dtype=bool),
         ids[:, None],
         rate,
-        stochastic,
         rng,
     )

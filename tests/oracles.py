@@ -219,7 +219,7 @@ def ref_encode(prep: Preprocessing, table) -> EncodedSplit:
 # embedding: a per-cell reference for FeatureEmbeddings.embed_row
 
 
-def ref_embed_row(feats, batch, policy, train_mode: bool, rng) -> np.ndarray:
+def ref_embed_row(feats, batch, rate, train_mode: bool, rng) -> np.ndarray:
     """[rows, n_features, embed_dim], one cell at a time in schema order.
 
     Each feature in schema order draws rng.random(rows) when masking is on.
@@ -236,8 +236,8 @@ def ref_embed_row(feats, batch, policy, train_mode: bool, rng) -> np.ndarray:
     out = np.empty((rows, len(features), first.shape[1]), dtype=first.dtype)
     for m, col in enumerate(features):
         drawn = [False] * rows
-        if train_mode and policy.mask_rate > 0.0:
-            drawn = list(rng.random(rows) <= policy.mask_rate)
+        if train_mode and rate > 0.0:
+            drawn = list(rng.random(rows) <= rate)
         for r in range(rows):
             if col.name in categorical:
                 j, feat = categorical[col.name]

@@ -100,7 +100,7 @@ def _primitive_cases():
         ("layer_norm", T.layer_norm, [arr(4, 6), arr(6), arr(6)]),
         (
             "dropout",
-            lambda x: T.dropout(x, 0.4, np.random.default_rng(11), True),
+            lambda x: T.dropout(x, 0.4, np.random.default_rng(11)),
             [arr(3, 4)],
         ),
         ("maxpool", lambda x: T.maxpool(x, axis=1), [arr(3, 5, 4)]),
@@ -219,7 +219,6 @@ def test_criterion_2_embedding_mechanics(capsys):
             np.asarray(xs, dtype=np.float64),
             np.zeros(len(xs), dtype=bool),
             0.0,
-            False,
             None,
         )
         return out.data
@@ -248,7 +247,7 @@ def test_criterion_2_embedding_mechanics(capsys):
     feat2 = NumericalFeatureEmbedding.build("f", bins2, 8, rng, np.float64)
     lo, hi = bins2.boundaries
     xs = rng.uniform(lo, hi, size=50)
-    out = embed_numerical(feat2, xs, np.zeros(50, dtype=bool), 0.0, False, None).data
+    out = embed_numerical(feat2, xs, np.zeros(50, dtype=bool), 0.0, None).data
     fr = (xs - lo) / (hi - lo)
     want = np.outer(1.0 - fr, feat2.table.data[0]) + np.outer(fr, feat2.table.data[1])
     worst2 = max_rel_err(out, want)
@@ -261,7 +260,7 @@ def test_criterion_2_embedding_mechanics(capsys):
     for p in (0.1, 0.3):
         out = embed_numerical(
             feat,
-            xs, np.zeros(n, dtype=bool), p, True, np.random.default_rng(1234)
+            xs, np.zeros(n, dtype=bool), p, np.random.default_rng(1234)
         ).data
         count = int(np.sum(np.all(out == feat.masked_vector.data, axis=1)))
         bound = 2.576 * np.sqrt(n * p * (1.0 - p))

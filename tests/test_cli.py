@@ -155,6 +155,54 @@ def test_oversized_csv_field_is_an_ingestion_error(reg_run, tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_train_replays_its_echoed_config(reg_run, tmp_path):
+    out = tmp_path / "replay"
+    assert main(["train", "--config", str(reg_run.out / "config.json"), "--out", str(out)]) == 0
+    for name in ("checkpoint.rnc", "history.jsonl", "metrics.json", "config.json"):
+        assert (reg_run.out / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_train_echoed_config_must_match_the_data(reg_run, tmp_path, capsys):
+    echoed = json.load(open(reg_run.out / "config.json"))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**echoed, "n_features": echoed["n_features"] + 1}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert f"config says n_features = {echoed['n_features'] + 1}" in capsys.readouterr().err
+
+
+def test_train_unusable_out_names_the_path(reg_run, tmp_path, capsys):
+    out = os.path.join(reg_run.data, "run")  # under a file
+    rc = main(["train", "--data", reg_run.data, "--config", reg_run.cfg, "--out", out])
+    assert rc == 3
+    assert f"cannot write {out}: Not a directory" in capsys.readouterr().err
+
+
+def test_train_unwritable_history_names_the_path(reg_run, tmp_path, capsys):
+    history = tmp_path / "history.jsonl"
+    history.mkdir()
+    rc = main(["train", "--data", reg_run.data, "--config", reg_run.cfg, "--out", str(tmp_path)])
+    assert rc == 3
+    assert f"cannot write {history}: Is a directory" in capsys.readouterr().err
+
+
+def test_train_rerun_rewrites_the_history(reg_run, tmp_path):
+    argv = ["train", "--data", reg_run.data, "--config", reg_run.cfg, "--out", str(tmp_path)]
+    assert main(argv + ["--seed", "7"]) == 0
+    assert main(argv + ["--seed", "7"]) == 0
+    lines = (tmp_path / "history.jsonl").read_text().splitlines()
+    assert len(lines) == TINY["epochs"]
+    assert (tmp_path / "history.jsonl").read_bytes() == (reg_run.out / "history.jsonl").read_bytes()
+
+
+def test_config_file_not_utf8_is_a_config_error(reg_run, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"seed": 1}')
+    assert main(["flops", "--config", str(bad)]) == 3
+    assert main(["train", "--data", reg_run.data, "--config", str(bad), "--out", str(tmp_path)]) == 3
+    assert main(["hpo", "--data", reg_run.data, "--space", str(bad), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.count("is not valid JSON") == 3
+
+
 # ---------------------------------------------------------------------------
 # predict
 
@@ -410,6 +458,17 @@ def test_hpo_ablation_pins_every_sampled_config(reg_run, tmp_path, flag, pinned)
         config = json.loads(line)["config"]
         for key, value in pinned.items():
             assert config[key] == value
+
+
+def test_hpo_unusable_out_fails_before_the_study(reg_run, monkeypatch, capsys):
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "run_study", no_study)
+    out = os.path.join(reg_run.data, "study")  # under a file
+    rc = main(["hpo", "--data", reg_run.data, "--trials", "1", "--out", out])
+    assert rc == 3
+    assert f"cannot write {out}: Not a directory" in capsys.readouterr().err
 
 
 def test_hpo_bad_rungs_flag(reg_run, tmp_path, capsys):

@@ -9,6 +9,7 @@ import rulenet.tensor as T
 from rulenet import embedding as E
 from rulenet.data import Batch, ColumnSpec, DatasetSchema, Preprocessing, QuantileBins
 from rulenet.errors import ConfigError, IndexRangeError
+from rulenet.model import RuleNetConfig
 
 from helpers import embed_categorical, embed_numerical, make_dataset
 from oracles import ref_embed_row
@@ -21,9 +22,6 @@ def _bins(vals, name="x"):
 def _num_feat(bound_vals, embed_dim=4, seed=0, dtype=np.float64):
     rng = np.random.default_rng(seed)
     return E.NumericalFeatureEmbedding.build("x", _bins(bound_vals), embed_dim, rng, dtype)
-
-
-NO_MASK = E.MaskingPolicy(0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -54,9 +52,9 @@ def test_locate_nan_rejected():
         E.locate_segments(np.array([0.5, float("nan")]), bins.boundaries, bins.n_quantiles)
     feat = _num_feat([0, 1])
     with pytest.raises(ValueError):
-        embed_numerical(feat, np.array([float("nan")]), np.array([False]), 0.0, False, None)
+        embed_numerical(feat, np.array([float("nan")]), np.array([False]), 0.0, None)
     # a missing NaN is masked, not located
-    out = embed_numerical(feat, np.array([float("nan")]), np.array([True]), 0.0, False, None).data
+    out = embed_numerical(feat, np.array([float("nan")]), np.array([True]), 0.0, None).data
     assert np.array_equal(out[0], feat.masked_vector.data)
 
 
@@ -81,7 +79,7 @@ def test_locate_always_in_bounds(xs):
 def _embed(feat, xs, rate=0.0, rng=None):
     """Embed non-missing values -> [len(xs), embed_dim]; stochastic iff rng is given."""
     xs = np.asarray(xs, dtype=np.float64)
-    return embed_numerical(feat, xs, np.zeros(len(xs), dtype=bool), rate, rng is not None, rng).data
+    return embed_numerical(feat, xs, np.zeros(len(xs), dtype=bool), rate, rng).data
 
 
 def test_embed_at_boundary_is_exact_row():
@@ -107,7 +105,7 @@ def test_embed_masked_fraction():
     n = 100_000
     rng = np.random.default_rng(99)
     vals = np.linspace(0, 1, n)
-    out = embed_numerical(feat, vals, np.zeros(n, dtype=bool), 0.1, True, rng).data
+    out = embed_numerical(feat, vals, np.zeros(n, dtype=bool), 0.1, rng).data
     frac = float((out == feat.masked_vector.data).all(axis=1).mean())
     assert abs(frac - 0.1) < 0.006
 
@@ -116,15 +114,15 @@ def test_missing_value_masked_even_in_eval():
     feat = _num_feat([0, 10, 20])
     out = embed_numerical(
         feat,
-        np.array([3.0]), np.array([True]), 0.0, False, None
+        np.array([3.0]), np.array([True]), 0.0, None
     ).data
     assert np.array_equal(out[0], feat.masked_vector.data)
 
 
 def test_masked_output_independent_of_value():
     feat = _num_feat([0, 10, 20])
-    a = embed_numerical(feat, np.array([3.0]), np.array([True]), 0.0, False, None).data
-    b = embed_numerical(feat, np.array([99.0]), np.array([True]), 0.0, False, None).data
+    a = embed_numerical(feat, np.array([3.0]), np.array([True]), 0.0, None).data
+    b = embed_numerical(feat, np.array([99.0]), np.array([True]), 0.0, None).data
     assert np.array_equal(a, b)
     assert np.array_equal(a[0], feat.masked_vector.data)
 
@@ -132,7 +130,7 @@ def test_masked_output_independent_of_value():
 def test_gradient_hits_exactly_the_used_rows():
     feat = _num_feat([0, 10, 20])
     with T.Tape() as tape:
-        out = embed_numerical(feat, np.array([15.0]), np.array([False]), 0.0, False, None)
+        out = embed_numerical(feat, np.array([15.0]), np.array([False]), 0.0, None)
         loss = T.sum_all(out)
     T.backward(tape, loss)
     g = feat.table.grad
@@ -145,7 +143,7 @@ def test_gradient_hits_exactly_the_used_rows():
 def test_gradient_of_masked_value_hits_masked_vector_only():
     feat = _num_feat([0, 10, 20])
     with T.Tape() as tape:
-        out = embed_numerical(feat, np.array([15.0]), np.array([True]), 0.0, False, None)
+        out = embed_numerical(feat, np.array([15.0]), np.array([True]), 0.0, None)
         loss = T.sum_all(out)
     T.backward(tape, loss)
     assert np.all(feat.table.grad == 0.0)
@@ -193,26 +191,26 @@ def _cat_feat(vocab_size=3, embed_dim=4, seed=1):
 
 def test_categorical_plain_lookup():
     feat = _cat_feat()
-    out = embed_categorical(feat, np.array([2]), 0.0, False, None)
+    out = embed_categorical(feat, np.array([2]), 0.0, None)
     assert np.array_equal(out.data[0], feat.table.data[2])
 
 
 def test_categorical_masked_id_lookup():
     feat = _cat_feat()
-    out = embed_categorical(feat, np.array([feat.masked_id]), 0.0, False, None)
+    out = embed_categorical(feat, np.array([feat.masked_id]), 0.0, None)
     assert np.array_equal(out.data[0], feat.table.data[feat.masked_id])
 
 
 def test_categorical_mask_rate_one():
     feat = _cat_feat()
-    out = embed_categorical(feat, np.array([0]), 1.0, True, np.random.default_rng(3))
+    out = embed_categorical(feat, np.array([0]), 1.0, np.random.default_rng(3))
     assert np.array_equal(out.data[0], feat.table.data[feat.masked_id])
 
 
 def test_categorical_invalid_id_names_feature():
     feat = _cat_feat()
     with pytest.raises(IndexRangeError) as exc:
-        embed_categorical(feat, np.array([17]), 0.0, False, None)
+        embed_categorical(feat, np.array([17]), 0.0, None)
     assert "c" in str(exc.value) and "17" in str(exc.value)
 
 
@@ -250,12 +248,12 @@ def _tiny_batch(rows=2):
 def test_embed_row_stacks_in_schema_order():
     prep = _tiny_prep()
     feats = E.FeatureEmbeddings.build(prep, 4, np.random.default_rng(0), np.float64)
-    out = feats.embed_row(_tiny_batch(), NO_MASK, train_mode=False)
+    out = feats.embed_row(_tiny_batch(), 0.0)
     assert out.shape == (2, 3, 4)
     # token 0 = feature "a", token 1 = "c", token 2 = "b" (file order)
     a0 = embed_numerical(
         feats.numerical[0],
-        np.array([0.5]), np.array([False]), 0.0, False, None
+        np.array([0.5]), np.array([False]), 0.0, None
     ).data[0]
     c0 = feats.categorical[0].table.data[0]
     assert np.array_equal(out.data[0, 0], a0)
@@ -265,9 +263,8 @@ def test_embed_row_stacks_in_schema_order():
 def test_embed_row_deterministic_given_rng():
     prep = _tiny_prep()
     feats = E.FeatureEmbeddings.build(prep, 4, np.random.default_rng(0), np.float64)
-    policy = E.MaskingPolicy(mask_rate=0.5)
-    a = feats.embed_row(_tiny_batch(), policy, True, np.random.default_rng(11)).data
-    b = feats.embed_row(_tiny_batch(), policy, True, np.random.default_rng(11)).data
+    a = feats.embed_row(_tiny_batch(), 0.5, np.random.default_rng(11)).data
+    b = feats.embed_row(_tiny_batch(), 0.5, np.random.default_rng(11)).data
     assert np.array_equal(a, b)
 
 
@@ -276,12 +273,12 @@ def test_embed_row_eval_masks_only_missing():
     feats = E.FeatureEmbeddings.build(prep, 4, np.random.default_rng(0), np.float64)
     batch = _tiny_batch()
     batch.numeric_missing[1, 0] = True
-    out = feats.embed_row(batch, E.MaskingPolicy(0.5, 0.5), train_mode=False).data
+    out = feats.embed_row(batch, 0.5).data
     assert np.array_equal(out[1, 0], feats.numerical[0].masked_vector.data)
     # the non-missing cell is never masked in eval mode
     plain = embed_numerical(
         feats.numerical[0],
-        np.array([0.5]), np.array([False]), 0.0, False, None
+        np.array([0.5]), np.array([False]), 0.0, None
     ).data[0]
     assert np.array_equal(out[0, 0], plain)
 
@@ -341,10 +338,9 @@ def _feature_blocks(draw):
 )
 def test_embed_row_matches_per_cell_reference(block, rate, train_mode, seed):
     feats, batch = block
-    policy = E.MaskingPolicy(rate)
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = feats.embed_row(batch, policy, train_mode, got_rng).data
-    want = ref_embed_row(feats, batch, policy, train_mode, want_rng)
+    got = feats.embed_row(batch, rate, got_rng if train_mode else None).data
+    want = ref_embed_row(feats, batch, rate, train_mode, want_rng)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
     # the same number of mask draws was consumed
@@ -380,7 +376,7 @@ def test_out_of_range_id_never_reads_a_neighbouring_table(j, beyond, train_mode)
     ids[1, j] = bad
     batch = Batch(np.array([[0.5], [1.5]]), np.zeros((2, 1), dtype=bool), ids, None, 2)
     with pytest.raises(IndexRangeError, match=f"'{feat.name}': id {bad} "):
-        feats.embed_row(batch, E.MaskingPolicy(1.0), train_mode, np.random.default_rng(0))
+        feats.embed_row(batch, 1.0, np.random.default_rng(0) if train_mode else None)
 
 
 @pytest.mark.parametrize("numerical, ops", [(True, 5), (False, 3)])
@@ -392,7 +388,7 @@ def test_embed_row_tape_ops_do_not_grow_with_features(numerical, ops):
         feats = E.FeatureEmbeddings.build(prep, 4, np.random.default_rng(0), np.float32)
         for train_mode in (False, True):
             with T.Tape() as tape:
-                feats.embed_row(enc, E.MaskingPolicy(0.3), train_mode, np.random.default_rng(1))
+                feats.embed_row(enc, 0.3, np.random.default_rng(1) if train_mode else None)
             counts.append(len(tape.entries))
     assert counts == [ops] * 4
 
@@ -403,45 +399,42 @@ def test_embed_row_tape_ops_do_not_grow_with_features(numerical, ops):
 
 def test_rule_tokens_unmasked_passthrough():
     rules = E.RuleEmbeddings.build(5, 4, np.random.default_rng(0), np.float64)
-    out = E.rule_tokens(rules, NO_MASK, train_mode=True, rng=np.random.default_rng(0))
+    out = E.rule_tokens(rules, 0.0, rng=np.random.default_rng(0))
     assert out is rules.rules
 
 
 def test_rule_tokens_all_masked():
     rules = E.RuleEmbeddings.build(5, 4, np.random.default_rng(0), np.float64)
-    out = E.rule_tokens(
-        rules, E.MaskingPolicy(0.0, 1.0), True, np.random.default_rng(0)
-    ).data
+    out = E.rule_tokens(rules, 1.0, np.random.default_rng(0)).data
     for row in out:
         assert np.array_equal(row, rules.masked_rule_vector.data)
 
 
 def test_rule_tokens_eval_ignores_rate():
     rules = E.RuleEmbeddings.build(5, 4, np.random.default_rng(0), np.float64)
-    out = E.rule_tokens(rules, E.MaskingPolicy(0.0, 0.5), train_mode=False)
+    out = E.rule_tokens(rules, 0.5)
     assert out is rules.rules
 
 
 def test_rule_tokens_mean_masked_count():
     rules = E.RuleEmbeddings.build(100, 2, np.random.default_rng(1), np.float64)
-    policy = E.MaskingPolicy(0.0, 0.2)
     rng = np.random.default_rng(2024)
     masked_ref = rules.masked_rule_vector.data
     total = 0
     trials = 10_000
     for _ in range(trials):
-        out = E.rule_tokens(rules, policy, True, rng).data
+        out = E.rule_tokens(rules, 0.2, rng).data
         total += int((out == masked_ref).all(axis=1).sum())
     assert abs(total / trials - 20.0) < 1.0
 
 
 # ---------------------------------------------------------------------------
-# policy validation
+# masking-rate validation
 
 
 def test_policy_bounds():
-    E.MaskingPolicy(0.0, 0.5).validate()
-    with pytest.raises(ConfigError):
-        E.MaskingPolicy(0.6, 0.0).validate()
-    with pytest.raises(ConfigError):
-        E.MaskingPolicy(0.0, -0.1).validate()
+    RuleNetConfig(n_features=1, mask_rate=0.0, rule_mask_rate=0.5).validate()
+    with pytest.raises(ConfigError, match=r"mask_rate must lie in \[0, 0.5\], got 0.6"):
+        RuleNetConfig(n_features=1, mask_rate=0.6, rule_mask_rate=0.0).validate()
+    with pytest.raises(ConfigError, match="rule_mask_rate"):
+        RuleNetConfig(n_features=1, mask_rate=0.0, rule_mask_rate=-0.1).validate()

@@ -203,6 +203,20 @@ def test_stochastic_mode_requires_rng():
         model.forward(batch, "train")
 
 
+def test_eval_ignores_a_passed_rng():
+    model, batch = tiny_model(
+        seed=11, mask_rate=0.3, rule_mask_rate=0.3, transformer_dropout=0.2, head_dropout=0.2
+    )
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    got = model.forward(batch, "eval", rng=rng).data
+    assert np.array_equal(got, model.forward(batch, "eval").data)
+    assert rng.bit_generator.state == state
+    # the same rates do draw in a rollout
+    model.forward(batch, "rollout", rng=rng)
+    assert rng.bit_generator.state != state
+
+
 def test_eval_is_deterministic():
     model, batch = tiny_model(seed=11)
     a = model.forward(batch, "eval").data

@@ -225,41 +225,46 @@ def test_layernorm_grad_fd():
 
 def test_dropout_p_zero_is_identity():
     x = T.Tensor(np.arange(6, dtype=np.float32))
-    out = T.dropout(x, 0.0, np.random.default_rng(0), active=True)
+    out = T.dropout(x, 0.0, np.random.default_rng(0))
     assert out is x
 
 
 def test_dropout_inactive_is_identity():
     x = T.Tensor(np.arange(6, dtype=np.float32))
-    out = T.dropout(x, 0.5, np.random.default_rng(0), active=False)
+    out = T.dropout(x, 0.5, None)
     assert out is x
 
 
 def test_dropout_invalid_rate():
     x = T.Tensor(np.zeros(3))
     with pytest.raises(ConfigError):
-        T.dropout(x, 1.0, np.random.default_rng(0), active=True)
+        T.dropout(x, 1.0, np.random.default_rng(0))
     with pytest.raises(ConfigError):
-        T.dropout(x, -0.1, np.random.default_rng(0), active=True)
+        T.dropout(x, -0.1, np.random.default_rng(0))
+
+
+def test_dropout_rate_is_checked_without_an_rng():
+    with pytest.raises(ConfigError):
+        T.dropout(T.Tensor(np.zeros(3)), 1.0, None)
 
 
 def test_dropout_zeroed_fraction():
     x = T.Tensor(np.ones(100_000, dtype=np.float64))
-    out = T.dropout(x, 0.25, np.random.default_rng(123), active=True).data
+    out = T.dropout(x, 0.25, np.random.default_rng(123)).data
     zeroed = float((out == 0.0).mean())
     assert abs(zeroed - 0.25) < 0.01
 
 
 def test_dropout_preserves_expectation():
     x = T.Tensor(np.full(200_000, 2.0))
-    out = T.dropout(x, 0.4, np.random.default_rng(9), active=True).data
+    out = T.dropout(x, 0.4, np.random.default_rng(9)).data
     assert abs(float(out.mean()) - 2.0) < 0.02
 
 
 def test_dropout_deterministic_per_seed():
     x = T.Tensor(np.ones(1000, dtype=np.float32))
-    a = T.dropout(x, 0.3, np.random.default_rng(42), active=True).data
-    b = T.dropout(x, 0.3, np.random.default_rng(42), active=True).data
+    a = T.dropout(x, 0.3, np.random.default_rng(42)).data
+    b = T.dropout(x, 0.3, np.random.default_rng(42)).data
     assert np.array_equal(a, b)
 
 
@@ -269,7 +274,7 @@ def test_dropout_grad_fd():
     w = T.Tensor(rng.standard_normal((5, 4)), dtype=np.float64)
 
     def build():
-        out = T.dropout(x, 0.5, np.random.default_rng(77), active=True)
+        out = T.dropout(x, 0.5, np.random.default_rng(77))
         return T.sum_all(T.mul(out, w))
 
     _fd_check(build, [x])
