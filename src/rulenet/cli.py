@@ -1,31 +1,21 @@
 """Command line interface: train, predict, evaluate, hpo, flops.
 
-Every run directory receives the fully resolved configuration, so a run can
-be replayed exactly from its artifacts. All commands are deterministic for a
-fixed --seed.
-
-Exit codes (also shown in --help):
-  0  all outputs written
-  2  bad command line (argparse)
-  3  configuration error (bad hyperparameter, metric, config/space/output file)
-  4  CSV ingestion error (unreadable, ragged, empty)
-  5  schema error (missing/mismatched columns, bad target)
-  6  preprocessing fit error (e.g. an all-missing column)
-  7  training diverged (non-finite loss or validation metric)
-  8  checkpoint error (truncated, wrong version, fingerprint mismatch)
-  9  study error (every trial failed)
- 10  internal contract violation (library bug; please report)
+train and hpo resolve their settings (defaults < --config file < flags) into
+one dict and write it to the run directory as config.json, which --config
+reads back: a run can be replayed exactly from its artifacts. All commands
+are deterministic for a fixed --seed. EXIT_CODES lists the exit codes, and
+--help prints them.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import json
 import os
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -50,60 +40,59 @@ from .hpo import (
     sensitivity,
     write_study_files,
 )
-from .model import RuleNetConfig, encoder_only_flops, estimate_flops
-from .training import default_metric, evaluate, train
+from .model import RuleNetConfig, encoder_only_flops, estimate_flops, fits
+from .training import check_metric, default_metric, evaluate, train
 
 EXIT_OK = 0
-_EXIT_CODES = (
-    (ConfigError, 3),
-    (IngestionError, 4),
-    (SchemaError, 5),
-    (FitError, 6),
-    (DivergenceError, 7),
-    (CheckpointError, 8),
-    (StudyError, 9),
+# (error family, exit code, description); the first family that matches wins
+EXIT_CODES = (
+    (None, EXIT_OK, "all outputs written"),
+    (None, 2, "bad command line"),
+    (ConfigError, 3, "configuration error"),
+    (IngestionError, 4, "CSV ingestion error"),
+    (SchemaError, 5, "schema error"),
+    (FitError, 6, "preprocessing fit error"),
+    (DivergenceError, 7, "training diverged"),
+    (CheckpointError, 8, "checkpoint error"),
+    (StudyError, 9, "study error (all trials failed)"),
+    (RuleNetError, 10, "internal error"),
 )
-EXIT_INTERNAL = 10
-
-_EPILOG = """\
-exit codes:
-  0   all outputs written
-  2   bad command line
-  3   configuration error     4   CSV ingestion error
-  5   schema error            6   preprocessing fit error
-  7   training diverged       8   checkpoint error
-  9   study error (all trials failed)
-  10  internal error
-"""
 
 
 def exit_code_for(err: RuleNetError) -> int:
-    for cls, code in _EXIT_CODES:
-        if isinstance(err, cls):
-            return code
-    return EXIT_INTERNAL
+    return next(code for cls, code, _ in EXIT_CODES if cls and isinstance(err, cls))
 
 
 # ---------------------------------------------------------------------------
-# run configuration file
+# settings: the keys a config file may set, each with its default and type
 
-# the model fields fixed by the data: a run config file may carry them (the
-# config.json a run echoes does), and they must then agree with the data
-DATA_KEYS = ("n_features", "n_classes")
+# the RuleNetConfig fields the data fixes: None until the data is read, and a
+# config file that sets one (the config.json a run writes does) must agree
+DATA_KEYS = ("n_features", "n_classes", "task")
+MODEL_KEYS = tuple(f.name for f in dataclasses.fields(RuleNetConfig) if f.name not in DATA_KEYS)
 
-# model hyperparameters that may appear in a run config file
-MODEL_KEYS = tuple(
-    f.name for f in dataclasses.fields(RuleNetConfig) if f.name not in DATA_KEYS + ("task",)
-)
+# key: (default, type); a type is a RuleNetConfig annotation or a list of one
+RUN_SETTINGS = {
+    "data": (None, "Optional[str]"),  # CSV path; --data overrides
+    "target": (None, "Optional[str]"),  # target column name; default: last column
+    "fractions": ((0.6, 0.2, 0.2), "list[float]"),  # train/val/test
+    "seed": (0, "int"),
+    "metric": (None, "Optional[str]"),  # "rmse" / "accuracy"; default: by task
+    "dtype": ("float32", "str"),
+    "n_features": (None, "Optional[int]"),
+    "n_classes": (None, "Optional[int]"),
+    "task": (None, "Optional[str]"),  # "regression" / "classification"; default: inferred
+    **{f.name: (f.default, f.type) for f in dataclasses.fields(RuleNetConfig) if f.name in MODEL_KEYS},
+}
 
-RUN_DEFAULTS = {
-    "data": None,  # CSV path; --data overrides
-    "target": None,  # target column name; default: last column
-    "task": None,  # "regression" / "classification"; default: inferred
-    "fractions": (0.6, 0.2, 0.2),  # train/val/test
-    "seed": 0,
-    "metric": None,  # "rmse" / "accuracy"; default: by task
-    "dtype": "float32",
+# hpo --ablation names: the AblationSwitches field each one sets
+ABLATIONS = {"no-mask": "disable_masking", "no-dec": "bypass_decoder", "no-quant": "fix_nq_to_2"}
+STUDY_SETTINGS = {
+    **RUN_SETTINGS,
+    "trials": (20, "int"),
+    "workers": (1, "int"),
+    "rungs": (DEFAULT_RUNGS, "list[int]"),  # pruning epochs
+    "ablation": ((), "list[str]"),  # names from ABLATIONS
 }
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -122,36 +111,43 @@ def _read_json_object(path, what: str) -> dict:
     return obj
 
 
-def resolve_run_config(config_path=None, **flag_overrides) -> dict:
-    """Defaults < config file < command-line flags; unknown keys rejected."""
-    resolved = dict(RUN_DEFAULTS)
-    for f in dataclasses.fields(RuleNetConfig):
-        if f.name in MODEL_KEYS:
-            resolved[f.name] = f.default
+def _typed(key: str, value, kind: str):
+    """value if it has the type `kind`, with a list as a tuple; else a ConfigError."""
+    item = kind[len("list["):-1] if kind.startswith("list[") else None
+    if item is None and fits(value, kind):
+        return value
+    if item is not None and isinstance(value, (list, tuple)) and all(fits(v, item) for v in value):
+        return tuple(value)
+    raise ConfigError(f"{key} must be {kind}, got {value!r}")
 
+
+def resolve_run_config(config_path=None, settings=RUN_SETTINGS, **flag_overrides) -> dict:
+    """Defaults < config file < command-line flags (None = not given).
+
+    Only the keys of `settings` are accepted, and every value must have its
+    settings type: anything else is a ConfigError naming the key.
+    """
+    resolved = {key: default for key, (default, _) in settings.items()}
     if config_path is not None:
         obj = _read_json_object(config_path, "config")
-        unknown = set(obj) - set(resolved) - set(DATA_KEYS)
+        unknown = set(obj) - set(settings)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         resolved.update(obj)
+    resolved.update((key, value) for key, value in flag_overrides.items() if value is not None)
 
-    for key, value in flag_overrides.items():
-        if value is not None:
-            resolved[key] = value
-
+    for key, (_, kind) in settings.items():
+        resolved[key] = _typed(key, resolved[key], kind)
     if resolved["dtype"] not in _DTYPES:
-        raise ConfigError(
-            f"dtype must be one of {sorted(_DTYPES)}, got {resolved['dtype']!r}"
-        )
-    fr = resolved["fractions"]
-    if not isinstance(fr, (list, tuple)):
-        raise ConfigError(f"fractions must be a list of 3 numbers, got {fr!r}")
-    resolved["fractions"] = tuple(float(x) for x in fr)
+        raise ConfigError(f"dtype must be one of {sorted(_DTYPES)}, got {resolved['dtype']!r}")
+    if resolved["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {resolved['seed']}")
     return resolved
 
 
 def _prepare_from(cfg: dict):
+    """The run's data. Writes the data-derived keys into cfg, after checking
+    any that the config file set."""
     if not cfg["data"]:
         raise ConfigError('no dataset: pass --data or set "data" in the config file')
     hint = {cfg["target"]: "target"} if cfg["target"] else None
@@ -165,8 +161,9 @@ def _prepare_from(cfg: dict):
     )
     for key in DATA_KEYS:
         found = getattr(prepared.prep.schema, key)
-        if key in cfg and cfg[key] != found:
+        if cfg[key] is not None and cfg[key] != found:
             raise ConfigError(f"config says {key} = {cfg[key]}, the data gives {found}")
+        cfg[key] = found
     return prepared
 
 
@@ -174,17 +171,6 @@ def _write_json(path, obj) -> None:
     with atomic_open(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _echo_config(out_dir, cfg: dict, config: Optional[RuleNetConfig] = None, **extra):
-    """The resolved-run record: everything needed to replay the run."""
-    echo = {k: cfg[k] for k in sorted(cfg)}
-    if config is not None:
-        echo.update(config.to_json())  # adds the data-derived fields too
-    echo.update(extra)
-    path = os.path.join(out_dir, "config.json")
-    _write_json(path, echo)
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +182,8 @@ def cmd_train(args) -> int:
     prepared = _prepare_from(cfg)
     prep, splits = prepared.prep, prepared.splits
     config = RuleNetConfig.for_schema(prep.schema, **{k: cfg[k] for k in MODEL_KEYS})
+    metric = cfg["metric"] or default_metric(config.task)
+    check_metric(metric, config.task)
 
     make_dirs(args.out)
     history_path = os.path.join(args.out, "history.jsonl")
@@ -211,9 +199,9 @@ def cmd_train(args) -> int:
 
     ckpt_path = os.path.join(args.out, "checkpoint.rnc")
     save_checkpoint(model, ckpt_path)
-    config_path = _echo_config(args.out, cfg, config)
+    config_path = os.path.join(args.out, "config.json")
+    _write_json(config_path, cfg)
 
-    metric = cfg["metric"] or default_metric(config.task)
     final = {
         "metric": metric,
         "best_epoch": history.best_epoch,
@@ -285,16 +273,29 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _parse_rungs(text: str) -> tuple:
+def _parse_rungs(text):
+    if not text:
+        return None
     try:
-        rungs = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"rungs must be comma-separated integers, got {text!r}") from None
-    return rungs
 
 
 def cmd_hpo(args) -> int:
-    cfg = resolve_run_config(args.config, data=args.data, seed=args.seed)
+    cfg = resolve_run_config(
+        args.config,
+        STUDY_SETTINGS,
+        data=args.data,
+        seed=args.seed,
+        trials=args.trials,
+        workers=args.workers,
+        rungs=_parse_rungs(args.rungs),
+        ablation=args.ablation,
+    )
+    if not set(cfg["ablation"]) <= set(ABLATIONS):
+        raise ConfigError(f"ablation names must be among {list(ABLATIONS)}, got {cfg['ablation']}")
+    cfg["ablation"] = tuple(sorted(cfg["ablation"]))
     prepared = _prepare_from(cfg)
     prep, splits = prepared.prep, prepared.splits
 
@@ -306,13 +307,7 @@ def cmd_hpo(args) -> int:
     else:
         space = SearchSpace.table_default(batch_size=cfg["batch_size"], epochs=cfg["epochs"])
 
-    switches = AblationSwitches(
-        disable_masking="no-mask" in args.ablation,
-        bypass_decoder="no-dec" in args.ablation,
-        fix_nq_to_2="no-quant" in args.ablation,
-    )
-    space = space.constrained(switches)
-    rungs = _parse_rungs(args.rungs) if args.rungs else DEFAULT_RUNGS
+    space = space.constrained(AblationSwitches(**{ABLATIONS[a]: True for a in cfg["ablation"]}))
 
     make_dirs(args.out)
     best, records = run_study(
@@ -320,21 +315,14 @@ def cmd_hpo(args) -> int:
         prep,
         splits["train"],
         splits["val"],
-        n_trials=args.trials,
+        n_trials=cfg["trials"],
         seed=cfg["seed"],
-        rungs=rungs,
-        workers=args.workers,
+        rungs=cfg["rungs"],
+        workers=cfg["workers"],
     )
 
     write_study_files(args.out, best, records, space)
-    _echo_config(
-        args.out,
-        cfg,
-        trials=args.trials,
-        workers=args.workers,
-        rungs=list(rungs),
-        ablation=sorted(args.ablation),
-    )
+    _write_json(os.path.join(args.out, "config.json"), cfg)
 
     searched = sorted(n for n, d in space.domains.items() if d.kind != "fixed")
     tables = {
@@ -347,9 +335,7 @@ def cmd_hpo(args) -> int:
     sens_path = os.path.join(args.out, "sensitivity.json")
     _write_json(sens_path, tables)
 
-    statuses = {}
-    for r in records:
-        statuses[r.status] = statuses.get(r.status, 0) + 1
+    statuses = collections.Counter(r.status for r in records)
     print(f"wrote {os.path.join(args.out, 'trials.jsonl')}")
     print(f"wrote {os.path.join(args.out, 'best.json')}")
     print(f"wrote {sens_path}")
@@ -362,13 +348,10 @@ def cmd_hpo(args) -> int:
 
 def cmd_flops(args) -> int:
     cfg = resolve_run_config(args.config)
-    if "n_features" not in cfg:
+    if cfg["n_features"] is None:
         raise ConfigError('flops config needs "n_features"')
-    config = RuleNetConfig(
-        task=cfg["task"] or TASK_REGRESSION,
-        **{k: cfg[k] for k in MODEL_KEYS},
-        **{k: cfg[k] for k in DATA_KEYS if k in cfg},
-    )
+    cfg["task"] = cfg["task"] or TASK_REGRESSION
+    config = RuleNetConfig(**{k: cfg[k] for k in MODEL_KEYS + DATA_KEYS})
     config.validate()
 
     est = estimate_flops(config)
@@ -398,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rulenet",
         description="Tabular transformer toolkit: train, predict, evaluate, search.",
-        epilog=_EPILOG,
+        epilog="exit codes:\n" + "".join(f"  {code:<3} {text}\n" for _, code, text in EXIT_CODES),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -432,20 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hpo", help="random search with successive-halving pruning")
     p.add_argument("--data", help="training CSV")
-    p.add_argument("--config", help="JSON run config (seed, fractions, batch size reference)")
+    p.add_argument("--config", help="JSON run config, study keys included; flags override it")
     p.add_argument("--space", help="JSON search-space overlay on the default box")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--trials", type=int, help="number of sampled configs (default 20)")
+    p.add_argument("--workers", type=int, help="trials trained at once (default 1)")
+    p.add_argument("--rungs", help="comma-separated pruning epochs (default 11,33,100)")
     p.add_argument(
-        "--rungs",
-        help="comma-separated pruning epochs (default 11,33,100)",
-    )
-    p.add_argument(
-        "--ablation",
-        action="append",
-        default=[],
-        choices=("no-mask", "no-dec", "no-quant"),
-        help="constrain the space; repeatable",
+        "--ablation", action="append", choices=ABLATIONS, help="constrain the space; repeatable"
     )
     p.add_argument("--seed", type=int, help="study seed (default 0)")
     p.add_argument("--out", required=True, help="study directory")

@@ -349,7 +349,7 @@ def split(
     """
     if len(fractions) != 3:
         raise ConfigError(f"expected 3 fractions (train, val, test), got {len(fractions)}")
-    if any(f <= 0 for f in fractions):
+    if not all(f > 0 for f in fractions):  # NaN included
         raise ConfigError(f"fractions must be positive, got {tuple(fractions)}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"fractions must sum to 1, got sum {sum(fractions)}")
@@ -569,15 +569,11 @@ def make_batches(
     batch_size: int,
     seed: int,
     epoch: int,
-    shuffle: bool = True,
 ) -> Iterator[Batch]:
     """Deterministic per-(seed, epoch) shuffle; last partial batch kept."""
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-    if shuffle:
-        order = np.random.default_rng([seed, epoch]).permutation(split_.n_rows)
-    else:
-        order = np.arange(split_.n_rows)
+    order = np.random.default_rng([seed, epoch]).permutation(split_.n_rows)
     for start in range(0, split_.n_rows, batch_size):
         yield take_rows(split_, order[start : start + batch_size])
 

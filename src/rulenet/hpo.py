@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -26,7 +28,7 @@ import numpy as np
 from .checkpoint import atomic_open
 from .data import DatasetSchema, EncodedSplit, Preprocessing, fit_quantiles
 from .errors import ConfigError, RuleNetError, StudyError
-from .model import RuleNetConfig
+from .model import RuleNetConfig, fits
 from .training import METRIC_RMSE, Trainer, default_metric, train
 
 DEFAULT_RUNGS = (11, 33, 100)
@@ -55,8 +57,15 @@ class Domain:
             if not self.values:
                 raise ConfigError(f"{self.kind} domain needs at least one value")
         elif self.kind in ("int", "uniform", "loguniform"):
+            bounds = f"[{self.lo!r}, {self.hi!r}]"
+            if not (_finite(self.lo) and _finite(self.hi) and _finite(self.hi - self.lo)):
+                raise ConfigError(f"domain bounds must be finite numbers, got {bounds}")
             if self.hi < self.lo:
-                raise ConfigError(f"domain range [{self.lo}, {self.hi}] is inverted")
+                raise ConfigError(f"domain range {bounds} is inverted")
+            if self.kind == "int" and not all(
+                int(b) == b and abs(b) < 2**63 - 1 for b in (self.lo, self.hi)
+            ):
+                raise ConfigError(f"int domain bounds must be int64 integers, got {bounds}")
             if self.kind == "loguniform" and self.lo <= 0:
                 raise ConfigError("loguniform needs a positive lower bound")
         else:
@@ -80,10 +89,20 @@ class Domain:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Domain":
+        if not isinstance(obj, dict):
+            raise ConfigError(f"a domain must be a JSON object, got {obj!r}")
         kind = obj.get("kind")
         if kind in ("fixed", "choice"):
-            return cls(kind, values=tuple(obj.get("values", ())))
+            values = obj.get("values", [])
+            if not isinstance(values, list):
+                raise ConfigError(f"{kind} domain values must be a list, got {values!r}")
+            return cls(kind, values=tuple(values))
         return cls(kind, lo=obj.get("lo", 0.0), hi=obj.get("hi", 0.0))
+
+
+def _finite(x) -> bool:
+    """A number (never a bool) that float64 holds finitely."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -153,7 +172,10 @@ class SearchSpace:
         for name, d in obj.items():
             if name not in domains:
                 raise ConfigError(f"unknown hyperparameter {name!r} in space file")
-            domains[name] = Domain.from_json(d)
+            try:
+                domains[name] = Domain.from_json(d)
+            except ConfigError as e:
+                raise ConfigError(f"hyperparameter {name!r}: {e}") from None
         return cls(domains)
 
 
@@ -164,17 +186,13 @@ def sample_config(space: SearchSpace, rng: np.random.Generator, schema: DatasetS
     """One independent draw per hyperparameter; heads are redrawn until they
     divide the embedding width."""
     drawn = {name: d.sample(rng) for name, d in space.domains.items()}
-    if "n_heads" in drawn and "embed_dim" in drawn:
-        heads_domain = space.domains["n_heads"]
-        tries = 0
-        while drawn["embed_dim"] % drawn["n_heads"] != 0:
-            tries += 1
-            if tries > _RESAMPLE_CAP:
-                raise ConfigError(
-                    f"no n_heads sample divides embed_dim={drawn['embed_dim']}"
-                )
-            drawn["n_heads"] = heads_domain.sample(rng)
-    return RuleNetConfig.for_schema(schema, **drawn)
+    for _ in range(_RESAMPLE_CAP + 1):
+        heads, width = drawn.get("n_heads"), drawn.get("embed_dim")
+        # any value that is not a usable count is left for validate to name
+        if not (fits(heads, "int") and fits(width, "int") and heads >= 1 and width % heads):
+            return RuleNetConfig.for_schema(schema, **drawn)
+        drawn["n_heads"] = space.domains["n_heads"].sample(rng)
+    raise ConfigError(f"no n_heads sample divides embed_dim={width}")
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +273,8 @@ def run_study(
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    if not rungs or list(rungs) != sorted(set(rungs)):
-        raise ConfigError(f"rungs must be strictly increasing, got {rungs}")
+    if not rungs or list(rungs) != sorted(set(rungs)) or rungs[0] < 1:
+        raise ConfigError(f"rungs must be strictly increasing epochs >= 1, got {rungs}")
 
     schema = prep.schema
     metric = default_metric(schema.task)

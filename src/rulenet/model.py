@@ -32,13 +32,20 @@ from .errors import ConfigError, ContractError
 
 MODES = ("train", "eval", "rollout")
 
-# the values each RuleNetConfig field annotation admits (never a bool)
+# the values each RuleNetConfig field annotation admits; the CLI types its
+# run settings with the same rule
 _FIELD_TYPES = {
     "int": numbers.Integral,
     "float": numbers.Real,
     "str": str,
     "Optional[int]": (numbers.Integral, type(None)),
+    "Optional[str]": (str, type(None)),
 }
+
+
+def fits(value, annotation: str) -> bool:
+    """Whether value has the type an annotation names; a bool is never a number."""
+    return not isinstance(value, bool) and isinstance(value, _FIELD_TYPES[annotation])
 
 
 @dataclass
@@ -68,7 +75,7 @@ class RuleNetConfig:
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+            if not fits(value, f.type):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.n_features < 1:
             raise ConfigError(f"n_features must be >= 1, got {self.n_features}")

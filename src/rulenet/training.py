@@ -182,13 +182,7 @@ def predict_split(model: RuleNetModel, split_: EncodedSplit, rng=None) -> np.nda
 
 def evaluate(model: RuleNetModel, split_: EncodedSplit, metric: str) -> float:
     """Validation score: RMSE in original target units, or argmax accuracy."""
-    if metric not in (METRIC_RMSE, METRIC_ACCURACY):
-        raise ConfigError(f"unknown metric {metric!r}")
-    task = model.config.task
-    if metric == METRIC_RMSE and task != TASK_REGRESSION:
-        raise ConfigError(f"metric {metric!r} needs a regression model, task is {task!r}")
-    if metric == METRIC_ACCURACY and task != TASK_CLASSIFICATION:
-        raise ConfigError(f"metric {metric!r} needs a classification model, task is {task!r}")
+    check_metric(metric, model.config.task)
     if split_.target is None:
         raise ContractError("split has no target column to evaluate against")
 
@@ -198,6 +192,15 @@ def evaluate(model: RuleNetModel, split_: EncodedSplit, metric: str) -> float:
         err = y_hat - split_.target
         return float(np.sqrt(np.mean(np.square(err))))
     return float(np.mean(np.argmax(pred, axis=1) == split_.target))
+
+
+def check_metric(metric: str, task: str) -> None:
+    """A ConfigError unless metric is known and scores models of this task."""
+    if metric not in (METRIC_RMSE, METRIC_ACCURACY):
+        raise ConfigError(f"unknown metric {metric!r}")
+    needs = TASK_REGRESSION if metric == METRIC_RMSE else TASK_CLASSIFICATION
+    if task != needs:
+        raise ConfigError(f"metric {metric!r} needs a {needs} model, task is {task!r}")
 
 
 def default_metric(task: str) -> str:

@@ -8,13 +8,22 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulenet import cli
 from rulenet.cli import _write_json, main, resolve_run_config
 from rulenet.checkpoint import load_checkpoint
-from rulenet.data import encode, read_table
+from rulenet.data import encode, load_csv, read_table
 from rulenet.datasets import separable_classification, step_regression, write_csv
-from rulenet.errors import ConfigError
+from rulenet.errors import (
+    ArtifactWriteError,
+    ConfigError,
+    ContractError,
+    DivergenceError,
+    TruncationError,
+)
+from rulenet.hpo import SearchSpace, sample_config
 from rulenet.model import RuleNetConfig, encoder_only_flops, estimate_flops
 from rulenet.training import evaluate
 
@@ -192,6 +201,36 @@ def test_train_rerun_rewrites_the_history(reg_run, tmp_path):
     lines = (tmp_path / "history.jsonl").read_text().splitlines()
     assert len(lines) == TINY["epochs"]
     assert (tmp_path / "history.jsonl").read_bytes() == (reg_run.out / "history.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("fractions", ["a", 0.2, 0.2]),
+        ("fractions", [None, 0.2, 0.2]),
+        ("fractions", [float("nan"), 0.2, 0.2]),
+        ("seed", "x"),
+        ("seed", None),
+        ("seed", True),
+        ("seed", -1),
+        ("dtype", [1]),
+    ],
+)
+def test_train_bad_run_value_names_the_key(reg_run, tmp_path, capsys, key, value):
+    cfg = _write_config(tmp_path / "bad.json", **{key: value})
+    out = tmp_path / "o"
+    assert main(["train", "--data", reg_run.data, "--config", cfg, "--out", str(out)]) == 3
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("metric", ["bogus", "accuracy"])  # accuracy on a regression table
+def test_train_checks_the_metric_before_training(reg_run, tmp_path, capsys, metric):
+    cfg = _write_config(tmp_path / "bad.json", metric=metric)
+    out = tmp_path / "o"
+    assert main(["train", "--data", reg_run.data, "--config", cfg, "--out", str(out)]) == 3
+    assert repr(metric) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_not_utf8_is_a_config_error(reg_run, tmp_path, capsys):
@@ -471,6 +510,69 @@ def test_hpo_unusable_out_fails_before_the_study(reg_run, monkeypatch, capsys):
     assert f"cannot write {out}: Not a directory" in capsys.readouterr().err
 
 
+def test_hpo_replays_its_echoed_config(reg_run, tmp_path, capsys):
+    out1, out2 = tmp_path / "s1", tmp_path / "s2"
+    assert _run_hpo(reg_run, out1, "--ablation", "no-quant", "--ablation", "no-dec") == 0
+    echoed = json.load(open(out1 / "config.json"))
+    assert echoed["ablation"] == ["no-dec", "no-quant"]
+    run_echo = json.load(open(reg_run.out / "config.json"))
+    for key in ("n_features", "n_classes", "task"):
+        assert echoed[key] == run_echo[key]
+
+    space = str(reg_run.root / "space.json")
+    assert main(["hpo", "--config", str(out1 / "config.json"), "--space", space, "--out", str(out2)]) == 0
+    for name in ("best.json", "sensitivity.json", "config.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def stripped(path):
+        return [{**json.loads(line), "wall_time": None} for line in open(path / "trials.jsonl")]
+
+    assert stripped(out1) == stripped(out2)
+
+    # the study keys belong to hpo alone
+    capsys.readouterr()
+    assert main(["train", "--config", str(out1 / "config.json"), "--out", str(tmp_path / "r")]) == 3
+    assert main(["flops", "--config", str(out1 / "config.json")]) == 3
+    assert capsys.readouterr().err.count("['ablation', 'rungs', 'trials', 'workers']") == 2
+
+
+@pytest.mark.parametrize("value", ["x", True])
+def test_hpo_bad_model_value_names_the_key(reg_run, tmp_path, capsys, value):
+    cfg = _write_config(tmp_path / "bad.json", batch_size=value)
+    rc = main(["hpo", "--data", reg_run.data, "--config", cfg, "--trials", "1",
+               "--rungs", "1", "--out", str(tmp_path / "s")])
+    assert rc == 3
+    assert "batch_size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name,domain",
+    [
+        ("n_rules", 5),
+        ("n_rules", {"kind": "choice", "values": 5}),
+        ("n_rules", {"kind": "int", "lo": "a", "hi": 5}),
+        ("n_rules", {"kind": "int", "lo": 1.5, "hi": 2.5}),
+        ("lr_dense", {"kind": "loguniform", "lo": None, "hi": 0.1}),
+        ("n_heads", {"kind": "choice", "values": ["x"]}),
+    ],
+)
+def test_hpo_malformed_space_names_the_hyperparameter(reg_run, tmp_path, capsys, name, domain):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({**SPACE, name: domain}))
+    rc = main(["hpo", "--data", reg_run.data, "--config", reg_run.cfg, "--space", str(space),
+               "--trials", "1", "--rungs", "1", "--out", str(tmp_path / "s")])
+    assert rc == 3
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rungs", ["0,1", "-1,2"])
+def test_hpo_rung_below_one_is_a_config_error(reg_run, tmp_path, capsys, rungs):
+    rc = main(["hpo", "--data", reg_run.data, "--config", reg_run.cfg, "--trials", "1",
+               f"--rungs={rungs}", "--out", str(tmp_path / "s")])
+    assert rc == 3
+    assert "rungs" in capsys.readouterr().err
+
+
 def test_hpo_bad_rungs_flag(reg_run, tmp_path, capsys):
     rc = main(["hpo", "--data", reg_run.data, "--out", str(tmp_path / "s"),
                "--trials", "1", "--rungs", "one,two"])
@@ -547,6 +649,36 @@ def test_help_documents_the_exit_codes(capsys):
         assert fragment in text
 
 
+def test_exit_code_table_feeds_help_and_the_mapping(capsys):
+    expected = {
+        0: "all outputs written",
+        2: "bad command line",
+        3: "configuration error",
+        4: "CSV ingestion error",
+        5: "schema error",
+        6: "preprocessing fit error",
+        7: "training diverged",
+        8: "checkpoint error",
+        9: "study error (all trials failed)",
+        10: "internal error",
+    }
+    assert {code: text for _, code, text in cli.EXIT_CODES} == expected
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    lines = capsys.readouterr().out.splitlines()
+    for code, text in expected.items():
+        assert f"  {code:<3} {text}" in lines
+    errors = {
+        ConfigError("x"): 3,
+        ArtifactWriteError("x"): 3,
+        DivergenceError(1, 2): 7,
+        TruncationError("x"): 8,
+        ContractError("x"): 10,
+    }
+    for err, code in errors.items():
+        assert cli.exit_code_for(err) == code
+
+
 def test_resolve_run_config_precedence(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"seed": 5, "epochs": 9}))
@@ -560,3 +692,90 @@ def test_resolve_run_config_precedence(tmp_path):
     cfg.write_text("not json")
     with pytest.raises(ConfigError):
         resolve_run_config(str(cfg))
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the config and space readers: a few well-typed entries and one
+# arbitrary JSON entry, so the arbitrary value is what decides the outcome
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+# the Python types a resolved value of each settings type may have (never a bool)
+_BASE_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _has_type(value, kind):
+    if kind.startswith("list["):
+        return type(value) is tuple and all(_has_type(v, kind[len("list["):-1]) for v in value)
+    if kind.startswith("Optional["):
+        return value is None or _has_type(value, kind[len("Optional["):-1])
+    return type(value) in _BASE_TYPES[kind]
+
+
+def _of_type(kind):
+    if kind.startswith("list["):
+        return st.lists(_of_type(kind[len("list["):-1]), max_size=3)
+    if kind.startswith("Optional["):
+        return st.none() | _of_type(kind[len("Optional["):-1])
+    return {"int": st.integers(), "float": st.integers() | st.floats(), "str": st.text(max_size=6)}[kind]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_resolved_config_has_table_types_or_is_a_config_error(fuzz_dir, data):
+    table = data.draw(st.sampled_from([cli.RUN_SETTINGS, cli.STUDY_SETTINGS]))
+    typed = {key: st.just(default) | _of_type(kind) for key, (default, kind) in table.items()}
+    obj = data.draw(st.fixed_dictionaries({}, optional=typed))
+    key = data.draw(st.sampled_from(sorted(table) + ["learning_rate", "space"]))
+    obj[key] = data.draw(_JSON)
+    path = fuzz_dir / "config.json"
+    path.write_text(json.dumps(obj))
+    try:
+        resolved = resolve_run_config(str(path), table)
+    except ConfigError:
+        return
+    assert set(resolved) == set(table)
+    for key, (_, kind) in table.items():
+        assert _has_type(resolved[key], kind), (key, resolved[key])
+    for key, value in obj.items():  # the file beats the defaults
+        assert json.dumps(resolved[key]) == json.dumps(value)
+
+
+_KINDS = st.sampled_from(["fixed", "choice", "int", "uniform", "loguniform"])
+_EDGES = st.sampled_from([0, 1, 1.5, -1, 2**63, -(2**63), 1e308, -1e308, float("inf"), float("nan")])
+_NUMBER = _EDGES | st.integers(-2, 300) | st.floats()
+_DOMAIN = st.fixed_dictionaries(
+    {"kind": _KINDS, "values": st.lists(_NUMBER, max_size=3), "lo": _NUMBER, "hi": _NUMBER}
+)
+_LOOSE_DOMAIN = st.fixed_dictionaries(
+    {"kind": _KINDS | _JSON}, optional={"values": _JSON, "lo": _JSON, "hi": _JSON}
+)
+
+
+@pytest.fixture(scope="module")
+def schema(reg_run):
+    return load_csv(reg_run.data)[0]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SearchSpace.table_default().domains) + ["bogus"]),
+    domain=_DOMAIN | _LOOSE_DOMAIN | _JSON,
+    seed=st.integers(0, 3),
+)
+def test_space_file_gives_a_space_that_samples_or_a_config_error(schema, name, domain, seed):
+    try:
+        space = SearchSpace.from_json({name: domain})
+        config = sample_config(space, np.random.default_rng(seed), schema)
+    except ConfigError:
+        return
+    assert isinstance(config, RuleNetConfig)

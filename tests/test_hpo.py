@@ -39,6 +39,35 @@ def test_domain_validation():
         Domain("loguniform", lo=0.0, hi=1.0)
 
 
+@pytest.mark.parametrize(
+    "kind,lo,hi",
+    [
+        ("uniform", -1e308, 1e308),  # the width overflows float64
+        ("uniform", float("nan"), 1.0),
+        ("loguniform", 1e-3, float("inf")),
+        ("int", 1.5, 2.5),  # would sample 1, outside the range
+        ("int", 0, 2**63),  # beyond int64
+        ("int", None, 5),
+    ],
+)
+def test_domain_rejects_bounds_it_cannot_sample(kind, lo, hi):
+    with pytest.raises(ConfigError, match="domain bounds"):
+        Domain(kind, lo=lo, hi=hi)
+
+
+@pytest.mark.parametrize("values", [5, "ab", None])
+def test_space_domain_values_must_be_a_list(values):
+    with pytest.raises(ConfigError, match="'n_rules'.*must be a list"):
+        SearchSpace.from_json({"n_rules": {"kind": "choice", "values": values}})
+
+
+def test_zero_heads_is_named_not_divided_by():
+    prep, _ = make_dataset(seed=70)
+    space = SearchSpace.table_default().pin("n_heads", 0)
+    with pytest.raises(ConfigError, match="n_heads must be >= 1"):
+        sample_config(space, np.random.default_rng(0), prep.schema)
+
+
 def test_lr_samples_stay_in_range():
     space = SearchSpace.table_default()
     rng = np.random.default_rng(0)
