@@ -9,6 +9,10 @@ File layout:
                concatenated in directory order; offsets are relative to
                the start of this section
 
+Format version 2 stores the whole feature block as one tensor,
+`embed.table`, in the row order `rulenet.embedding` documents. Version 1
+stored one tensor per feature; it is refused with a VersionError.
+
 The schema fingerprint is recomputed from the stored schema on load and
 compared against the stored value, so a manifest edited after saving is
 rejected rather than silently trusted. Every other way a manifest can be
@@ -51,7 +55,7 @@ from .errors import (
 )
 from .model import RuleNetConfig, RuleNetModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _DTYPE_CODES = {"float32": "<f4", "float64": "<f8"}
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import csv
 import dataclasses
 import json
@@ -87,8 +88,9 @@ RUN_SETTINGS = {
 
 # hpo --ablation names: the AblationSwitches field each one sets
 ABLATIONS = {"no-mask": "disable_masking", "no-dec": "bypass_decoder", "no-quant": "fix_nq_to_2"}
+# a study scores by the task's default metric and trains in float32
 STUDY_SETTINGS = {
-    **RUN_SETTINGS,
+    **{key: v for key, v in RUN_SETTINGS.items() if key not in ("metric", "dtype")},
     "trials": (20, "int"),
     "workers": (1, "int"),
     "rungs": (DEFAULT_RUNGS, "list[int]"),  # pruning epochs
@@ -138,7 +140,7 @@ def resolve_run_config(config_path=None, settings=RUN_SETTINGS, **flag_overrides
 
     for key, (_, kind) in settings.items():
         resolved[key] = _typed(key, resolved[key], kind)
-    if resolved["dtype"] not in _DTYPES:
+    if "dtype" in resolved and resolved["dtype"] not in _DTYPES:
         raise ConfigError(f"dtype must be one of {sorted(_DTYPES)}, got {resolved['dtype']!r}")
     if resolved["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {resolved['seed']}")
@@ -309,17 +311,24 @@ def cmd_hpo(args) -> int:
 
     space = space.constrained(AblationSwitches(**{ABLATIONS[a]: True for a in cfg["ablation"]}))
 
+    created = not os.path.exists(args.out)
     make_dirs(args.out)
-    best, records = run_study(
-        space,
-        prep,
-        splits["train"],
-        splits["val"],
-        n_trials=cfg["trials"],
-        seed=cfg["seed"],
-        rungs=cfg["rungs"],
-        workers=cfg["workers"],
-    )
+    try:
+        best, records = run_study(
+            space,
+            prep,
+            splits["train"],
+            splits["val"],
+            n_trials=cfg["trials"],
+            seed=cfg["seed"],
+            rungs=cfg["rungs"],
+            workers=cfg["workers"],
+        )
+    except BaseException:
+        if created:  # rmdir removes it only while it is still empty
+            with contextlib.suppress(OSError):
+                os.rmdir(args.out)
+        raise
 
     write_study_files(args.out, best, records, space)
     _write_json(os.path.join(args.out, "config.json"), cfg)

@@ -8,7 +8,8 @@ Categorical features are plain table lookups with reserved UNK and MASKED
 rows. Stochastic masking (the model's regularizer and its missing-value
 channel) swaps a feature's embedding for a learnable masked vector; it draws
 only when the caller passes an rng, and without one a pass is deterministic.
-The whole feature block is one lookup (the batched piecewise-linear encoding of
+Every feature's vectors live in one parameter, `embed.table`, and the whole
+feature block is one lookup into it (the batched piecewise-linear encoding of
 Gorishniy et al. 2022, arXiv:2203.05556), so its tape ops do not grow with M.
 """
 
@@ -21,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .data import Batch, DatasetSchema, Preprocessing, QuantileBins
+from .data import Batch, Preprocessing
 from .errors import ContractError, IndexRangeError
 
 
@@ -32,15 +33,9 @@ def _mask_draws(rate: float, shape, rng: np.random.Generator) -> np.ndarray:
     return rng.random(shape) <= rate
 
 
-def init_table(rng: np.random.Generator, rows: int, embed_dim: int, dtype) -> T.Tensor:
-    """Embedding init: Normal(0, 1/sqrt(embed_dim))."""
-    std = 1.0 / math.sqrt(embed_dim)
-    return T.Tensor(rng.normal(0.0, std, size=(rows, embed_dim)), requires_grad=True, dtype=dtype)
-
-
-def init_vector(rng: np.random.Generator, embed_dim: int, dtype) -> T.Tensor:
-    std = 1.0 / math.sqrt(embed_dim)
-    return T.Tensor(rng.normal(0.0, std, size=embed_dim), requires_grad=True, dtype=dtype)
+def init_normal(rng: np.random.Generator, size, embed_dim: int) -> np.ndarray:
+    """Embedding init: float64 draws from Normal(0, 1/sqrt(embed_dim))."""
+    return rng.normal(0.0, 1.0 / math.sqrt(embed_dim), size=size)
 
 
 # ---------------------------------------------------------------------------
@@ -70,86 +65,56 @@ def locate_segments(values, boundaries, n_quantiles) -> tuple[np.ndarray, np.nda
 
 
 # ---------------------------------------------------------------------------
-# per-feature parameters
-
-
-@dataclass
-class NumericalFeatureEmbedding:
-    name: str
-    bins: QuantileBins
-    table: T.Tensor  # [n_quantiles, embed_dim], one vector per boundary
-    masked_vector: T.Tensor  # [embed_dim], also serves missing values
-
-    @classmethod
-    def build(cls, name, bins, embed_dim, rng, dtype) -> "NumericalFeatureEmbedding":
-        return cls(
-            name,
-            bins,
-            init_table(rng, bins.n_quantiles, embed_dim, dtype),
-            init_vector(rng, embed_dim, dtype),
-        )
-
-
-@dataclass
-class CategoricalFeatureEmbedding:
-    name: str
-    table: T.Tensor  # [vocab + UNK + MASKED, embed_dim]
-    masked_id: int
-
-    @classmethod
-    def build(cls, name, table_size, masked_id, embed_dim, rng, dtype):
-        return cls(name, init_table(rng, table_size, embed_dim, dtype), masked_id)
-
-
-# ---------------------------------------------------------------------------
 # the full feature block and the rule block
 
 
 class FeatureEmbeddings:
-    """All feature embeddings, looked up as one block in schema order.
+    """All feature embeddings: one parameter, looked up as one block in schema order.
 
-    Each call stacks the numerical masked vectors and every table into one
-    table. A located numerical value blends its rows (i, i+1) by (1-f, f);
-    a masked cell or a categorical id is one row r, blended as (r, r) by (1, 0).
+    `table` [rows, embed_dim] holds its rows in init-draw order: each
+    numerical feature (schema order) contributes its n_quantiles boundary
+    vectors and then its masked vector, which also serves missing values;
+    each categorical feature's table (vocab, UNK, MASKED) follows. A located
+    numerical value blends its rows (i, i+1) by (1-f, f); a masked cell or a
+    categorical id is one row r, blended as (r, r) by (1, 0).
     """
 
-    def __init__(self, schema: DatasetSchema, numerical, categorical):
+    def __init__(self, prep: Preprocessing, table: T.Tensor):
+        schema = prep.schema
         self.schema = schema
-        self.numerical: list[NumericalFeatureEmbedding] = numerical
-        self.categorical: list[CategoricalFeatureEmbedding] = categorical
-        features = numerical + categorical  # the batch's column order
+        self.bins = prep.bins
+        self.table = table
+        numerical, categorical = schema.numerical_features, schema.categorical_features
         position = {c.name: i for i, c in enumerate(schema.features)}
-        self._position = np.array([position[f.name] for f in features], dtype=np.int64)
+        self._position = np.array([position[c.name] for c in numerical + categorical], dtype=np.int64)
         self._column = np.argsort(self._position)
-        self._n_quantiles = np.array([f.bins.n_quantiles for f in numerical], dtype=np.int64)
+        self._n_quantiles = np.array([prep.bins[c.name].n_quantiles for c in numerical], dtype=np.int64)
         self._boundaries = np.full((len(numerical), self._n_quantiles.max(initial=2)), np.inf)
-        for j, f in enumerate(numerical):
-            self._boundaries[j, : f.bins.n_quantiles] = f.bins.boundaries
-        self._sizes = np.array([f.table.shape[0] for f in features], dtype=np.int64)
-        self._offsets = len(numerical) + np.cumsum(self._sizes) - self._sizes
-        masked = self._offsets[len(numerical) :] + [f.masked_id for f in categorical]
-        self._masked_rows = np.concatenate([np.arange(len(numerical)), masked]).astype(np.int64)
+        for j, c in enumerate(numerical):
+            self._boundaries[j, : self._n_quantiles[j]] = prep.bins[c.name].boundaries
+        self._sizes = np.array([c.table_size for c in categorical], dtype=np.int64)
+        rows = np.concatenate([self._n_quantiles + 1, self._sizes])
+        self._offsets = np.cumsum(rows) - rows
+        masked = np.concatenate([self._n_quantiles, [c.masked_id for c in categorical]])
+        self._masked_rows = (self._offsets + masked).astype(np.int64)
 
     @classmethod
     def build(cls, prep: Preprocessing, embed_dim: int, rng, dtype) -> "FeatureEmbeddings":
-        numerical = [
-            NumericalFeatureEmbedding.build(c.name, prep.bins[c.name], embed_dim, rng, dtype)
-            for c in prep.schema.numerical_features
-        ]
-        categorical = [
-            CategoricalFeatureEmbedding.build(
-                c.name, c.table_size, c.masked_id, embed_dim, rng, dtype
-            )
-            for c in prep.schema.categorical_features
-        ]
-        return cls(prep.schema, numerical, categorical)
+        """Draw the table block by block, in row order, into `dtype` storage."""
+        draws = []  # (rows, draw size) per block
+        for c in prep.schema.numerical_features:
+            n_q = prep.bins[c.name].n_quantiles
+            draws += [(n_q, (n_q, embed_dim)), (1, embed_dim)]
+        draws += [(c.table_size, (c.table_size, embed_dim)) for c in prep.schema.categorical_features]
+        table = np.empty((sum(rows for rows, _ in draws), embed_dim), dtype)
+        at = 0
+        for rows, size in draws:
+            table[at : at + rows] = init_normal(rng, size, embed_dim)
+            at += rows
+        return cls(prep, T.Tensor(table, requires_grad=True))
 
     def parameters(self):
-        for f in self.numerical:
-            yield f"embed.num.{f.name}.table", f.table
-            yield f"embed.num.{f.name}.masked", f.masked_vector
-        for f in self.categorical:
-            yield f"embed.cat.{f.name}.table", f.table
+        yield "embed.table", self.table
 
     def embed_row(
         self, batch: Batch, mask_rate: float, rng: Optional[np.random.Generator] = None
@@ -162,19 +127,19 @@ class FeatureEmbeddings:
         rng); without one, nothing is drawn. Missing numerical cells are
         always masked. No positional information is added.
         """
-        n_num, n_cat = len(self.numerical), len(self.categorical)
+        n_num, n_cat = len(self._n_quantiles), len(self._sizes)
         if batch.numeric.shape[1] != n_num or batch.categorical.shape[1] != n_cat:
             raise ContractError(
                 f"batch has {batch.numeric.shape[1]} numerical and {batch.categorical.shape[1]}"
                 f" categorical columns, embeddings expect {n_num} and {n_cat}"
             )
         ids = np.asarray(batch.categorical)
-        bad = (ids < 0) | (ids >= self._sizes[n_num:])
+        bad = (ids < 0) | (ids >= self._sizes)
         if bad.any():
             j, r = np.argwhere(bad.T)[0]
             raise IndexRangeError(
-                f"categorical feature {self.categorical[j].name!r}: id {int(ids[r, j])} "
-                f"outside [0, {self._sizes[n_num + j]})"
+                f"categorical feature {self.schema.categorical_features[j].name!r}: "
+                f"id {int(ids[r, j])} outside [0, {self._sizes[j]})"
             )
         masked = np.hstack([batch.numeric_missing, np.zeros(ids.shape, dtype=bool)])
         if rng is not None:
@@ -187,14 +152,8 @@ class FeatureEmbeddings:
         hi = np.where(masked, self._masked_rows, self._offsets + np.hstack([idx + 1, ids]))
         w_hi = np.where(masked, 0.0, np.hstack([frac, np.zeros(ids.shape)]))
         lo, hi, w_hi = (a[:, self._column].ravel() for a in (lo, hi, w_hi))
-
-        tables = [f.table for f in self.numerical + self.categorical]
-        if n_num:
-            masked_vectors = T.concat([f.masked_vector for f in self.numerical], axis=0)
-            tables.insert(0, T.reshape(masked_vectors, (n_num, -1)))
-        joined = T.concat(tables, axis=0)
-        out = T.interp_rows(joined, lo, hi, 1.0 - w_hi, w_hi)
-        return T.reshape(out, (batch.n_rows, n_num + n_cat, joined.shape[1]))
+        out = T.interp_rows(self.table, lo, hi, 1.0 - w_hi, w_hi)
+        return T.reshape(out, (batch.n_rows, n_num + n_cat, self.table.shape[1]))
 
 
 @dataclass
@@ -206,10 +165,9 @@ class RuleEmbeddings:
 
     @classmethod
     def build(cls, n_rules, embed_dim, rng, dtype) -> "RuleEmbeddings":
-        return cls(
-            init_table(rng, n_rules, embed_dim, dtype),
-            init_vector(rng, embed_dim, dtype),
-        )
+        rules = init_normal(rng, (n_rules, embed_dim), embed_dim)
+        masked = init_normal(rng, embed_dim, embed_dim)
+        return cls(*(T.Tensor(a, requires_grad=True, dtype=dtype) for a in (rules, masked)))
 
     @property
     def n_rules(self) -> int:

@@ -73,28 +73,53 @@ def tiny_model(seed=0, dtype=np.float64, task="regression", rows=8, missing_rate
 
 
 # ---------------------------------------------------------------------------
-# one feature's column through FeatureEmbeddings.embed_row
+# the feature table's layout, and one feature's column through embed_row
 
 
-def _embed_one(feat, kind, numeric, missing, ids, rate, rng) -> T.Tensor:
-    schema = D.DatasetSchema(
-        [D.ColumnSpec(feat.name, kind), D.ColumnSpec("y", D.KIND_TARGET)], task="regression"
-    )
-    numerical, categorical = ([feat], []) if kind == D.KIND_NUMERICAL else ([], [feat])
+def feature_rows(schema: D.DatasetSchema, bins: dict) -> dict:
+    """name -> (slice of the feature's rows, index of its masked row) in
+    FeatureEmbeddings.table, derived from the documented layout alone:
+    each numerical feature in schema order holds its n_quantiles boundary
+    rows and then its masked row; each categorical table follows (vocab,
+    UNK, MASKED)."""
+    out, start = {}, 0
+    for c in schema.numerical_features:
+        n_q = bins[c.name].n_quantiles
+        out[c.name] = (slice(start, start + n_q), start + n_q)
+        start += n_q + 1
+    for c in schema.categorical_features:
+        out[c.name] = (slice(start, start + c.table_size), start + c.masked_id)
+        start += c.table_size
+    return out
+
+
+def feature_view(feats, name, array=None):
+    """(the feature's rows, its masked row) as views into `array` (default
+    feats.table.data; pass feats.table.grad for the gradient)."""
+    rows, masked = feature_rows(feats.schema, feats.bins)[name]
+    array = feats.table.data if array is None else array
+    return array[rows], array[masked]
+
+
+def one_feature_block(column: D.ColumnSpec, bins, embed_dim, rng, dtype) -> FeatureEmbeddings:
+    """FeatureEmbeddings of a schema holding only `column` (bins: a
+    QuantileBins for a numerical column, None for a categorical one)."""
+    schema = D.DatasetSchema([column, D.ColumnSpec("y", D.KIND_TARGET)], task="regression")
+    prep = D.Preprocessing(schema, {} if bins is None else {column.name: bins}, None)
+    return FeatureEmbeddings.build(prep, embed_dim, rng, dtype)
+
+
+def _embed_one(feats, numeric, missing, ids, rate, rng) -> T.Tensor:
     rows = len(numeric)
-    batch = D.Batch(numeric, missing, ids, None, rows)
-    out = FeatureEmbeddings(schema, numerical, categorical).embed_row(
-        batch, rate, rng
-    )
+    out = feats.embed_row(D.Batch(numeric, missing, ids, None, rows), rate, rng)
     return T.reshape(out, (rows, -1))
 
 
-def embed_numerical(feat, values, missing, rate, rng) -> T.Tensor:
-    """Embed one numerical column of raw values -> [rows, embed_dim]."""
+def embed_numerical(feats, values, missing, rate, rng) -> T.Tensor:
+    """Embed the one numerical column of a one-feature block -> [rows, embed_dim]."""
     values = np.asarray(values, dtype=np.float64)
     return _embed_one(
-        feat,
-        D.KIND_NUMERICAL,
+        feats,
         values[:, None],
         np.asarray(missing, dtype=bool)[:, None],
         np.zeros((len(values), 0), dtype=np.int64),
@@ -103,13 +128,12 @@ def embed_numerical(feat, values, missing, rate, rng) -> T.Tensor:
     )
 
 
-def embed_categorical(feat, ids, rate, rng) -> T.Tensor:
-    """Embed one categorical column of ids -> [rows, embed_dim]."""
+def embed_categorical(feats, ids, rate, rng) -> T.Tensor:
+    """Embed the one categorical column of a one-feature block -> [rows, embed_dim]."""
     ids = np.asarray(ids, dtype=np.int64)
     rows = len(ids)
     return _embed_one(
-        feat,
-        D.KIND_CATEGORICAL,
+        feats,
         np.zeros((rows, 0)),
         np.zeros((rows, 0), dtype=bool),
         ids[:, None],

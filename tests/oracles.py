@@ -29,6 +29,8 @@ from rulenet.data import (
 )
 from rulenet.errors import SchemaError
 
+from helpers import feature_rows
+
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of scalar f() w.r.t. x.
@@ -228,31 +230,34 @@ def ref_embed_row(feats, batch, rate, train_mode: bool, rng) -> np.ndarray:
     in the segment that bisect finds; a categorical id is its table row.
     The two weights are cast to the table dtype first, as the library does.
     """
-    numerical = {f.name: (j, f) for j, f in enumerate(feats.numerical)}
-    categorical = {f.name: (j, f) for j, f in enumerate(feats.categorical)}
-    features = feats.schema.features
+    schema = feats.schema
+    numerical = {c.name: j for j, c in enumerate(schema.numerical_features)}
+    categorical = {c.name: j for j, c in enumerate(schema.categorical_features)}
+    layout = feature_rows(schema, feats.bins)
+    table = feats.table.data
     rows = batch.n_rows
-    first = (feats.numerical + feats.categorical)[0].table.data
-    out = np.empty((rows, len(features), first.shape[1]), dtype=first.dtype)
-    for m, col in enumerate(features):
+    out = np.empty((rows, schema.n_features, table.shape[1]), dtype=table.dtype)
+    for m, col in enumerate(schema.features):
+        span, masked_row = layout[col.name]
+        feat_rows = table[span]
         drawn = [False] * rows
         if train_mode and rate > 0.0:
             drawn = list(rng.random(rows) <= rate)
         for r in range(rows):
             if col.name in categorical:
-                j, feat = categorical[col.name]
-                cell = feat.masked_id if drawn[r] else int(batch.categorical[r, j])
-                out[r, m] = feat.table.data[cell]
+                j = categorical[col.name]
+                cell = col.masked_id if drawn[r] else int(batch.categorical[r, j])
+                out[r, m] = feat_rows[cell]
                 continue
-            j, feat = numerical[col.name]
+            j = numerical[col.name]
             if drawn[r] or batch.numeric_missing[r, j]:
-                out[r, m] = feat.masked_vector.data
+                out[r, m] = table[masked_row]
                 continue
-            b = [float(q) for q in feat.bins.boundaries]
+            b = [float(q) for q in feats.bins[col.name].boundaries]
             x = float(batch.numeric[r, j])
             i = min(max(bisect.bisect_right(b, x) - 1, 0), len(b) - 2)
             width = b[i + 1] - b[i]
             f = min(max((x - b[i]) / width if width > 0.0 else 0.0, 0.0), 1.0)
             w_lo, w_hi = np.array([1.0 - f, f], dtype=out.dtype)
-            out[r, m] = w_lo * feat.table.data[i] + w_hi * feat.table.data[i + 1]
+            out[r, m] = w_lo * feat_rows[i] + w_hi * feat_rows[i + 1]
     return out

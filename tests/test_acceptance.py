@@ -20,7 +20,6 @@ from rulenet.datasets import (
     step_regression,
     write_csv,
 )
-from rulenet.embedding import NumericalFeatureEmbedding
 from rulenet.ensemble import aggregate_scalar, predict_ensemble, predict_point
 from rulenet.hpo import (
     AblationSwitches,
@@ -39,7 +38,14 @@ from rulenet.model import (
 )
 from rulenet.training import evaluate, train
 
-from helpers import embed_numerical, make_dataset, tiny_config, tiny_model
+from helpers import (
+    embed_numerical,
+    feature_view,
+    make_dataset,
+    one_feature_block,
+    tiny_config,
+    tiny_model,
+)
 from oracles import fd_gradient, max_rel_err
 
 
@@ -210,8 +216,9 @@ def test_criterion_2_embedding_mechanics(capsys):
     rng = np.random.default_rng(2)
     values = rng.normal(size=2000) * 3.0
     bins = fit_quantiles(values, 9, feature="f")
-    feat = NumericalFeatureEmbedding.build("f", bins, 8, rng, np.float64)
-    table = feat.table.data
+    column = ColumnSpec("f", "numerical", True, None)
+    feat = one_feature_block(column, bins, 8, rng, np.float64)
+    table, masked = feature_view(feat, "f")
 
     def embed(xs):
         out = embed_numerical(
@@ -244,12 +251,13 @@ def test_criterion_2_embedding_mechanics(capsys):
 
     # n_q=2 degenerates to one global linear map between two vectors
     bins2 = fit_quantiles(values, 2, feature="f")
-    feat2 = NumericalFeatureEmbedding.build("f", bins2, 8, rng, np.float64)
+    feat2 = one_feature_block(column, bins2, 8, rng, np.float64)
     lo, hi = bins2.boundaries
     xs = rng.uniform(lo, hi, size=50)
     out = embed_numerical(feat2, xs, np.zeros(50, dtype=bool), 0.0, None).data
     fr = (xs - lo) / (hi - lo)
-    want = np.outer(1.0 - fr, feat2.table.data[0]) + np.outer(fr, feat2.table.data[1])
+    table2 = feature_view(feat2, "f")[0]
+    want = np.outer(1.0 - fr, table2[0]) + np.outer(fr, table2[1])
     worst2 = max_rel_err(out, want)
     assert worst2 < 1e-12
 
@@ -262,7 +270,7 @@ def test_criterion_2_embedding_mechanics(capsys):
             feat,
             xs, np.zeros(n, dtype=bool), p, np.random.default_rng(1234)
         ).data
-        count = int(np.sum(np.all(out == feat.masked_vector.data, axis=1)))
+        count = int(np.sum(np.all(out == masked, axis=1)))
         bound = 2.576 * np.sqrt(n * p * (1.0 - p))
         assert abs(count - n * p) <= bound, (p, count)
         checked.append(f"p={p}: {count}/{n}")

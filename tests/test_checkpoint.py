@@ -159,14 +159,16 @@ def test_garbage_manifest(saved):
 
 
 def test_future_version_is_refused(saved):
+    # so is the previous version, which stored one tensor per feature
     _, _, path = saved
+    for version in (FORMAT_VERSION + 1, FORMAT_VERSION - 1):
 
-    def bump(m):
-        m["format_version"] = FORMAT_VERSION + 1
+        def stamp(m):
+            m["format_version"] = version
 
-    _rewrite_manifest(path, bump)
-    with pytest.raises(VersionError, match=str(FORMAT_VERSION + 1)):
-        load_checkpoint(path)
+        _rewrite_manifest(path, stamp)
+        with pytest.raises(VersionError, match=f"format version {version}, expected"):
+            load_checkpoint(path)
 
 
 def test_tampered_schema_is_refused(saved):
@@ -298,6 +300,31 @@ def test_mutated_manifest_loads_or_is_a_checkpoint_error(manifest_and_blobs, whe
         _set(manifest, target, value)
     payload = json.dumps(manifest).encode("utf-8")
     path.write_bytes(struct.pack("<Q", len(payload)) + payload + blobs)
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), truncate=st.booleans())
+def test_truncated_or_byte_flipped_file_loads_or_is_a_checkpoint_error(
+    manifest_and_blobs, data, truncate
+):
+    """Cut the file at any offset, or flip any one byte of it. Offsets come
+    as often from the header and manifest as from the whole file, since a
+    flipped weight byte loads cleanly (the blobs carry no checksum)."""
+    path, text, blobs = manifest_and_blobs
+    payload = text.encode("utf-8")
+    raw = struct.pack("<Q", len(payload)) + payload + blobs
+    head = 8 + len(payload)
+    at = data.draw(st.integers(0, head - 1) | st.integers(0, len(raw) - 1), label="offset")
+    if truncate:
+        raw = raw[:at]
+    else:
+        flip = data.draw(st.integers(1, 255), label="xor")
+        raw = raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1 :]
+    path.write_bytes(raw)
     try:
         load_checkpoint(path)
     except CheckpointError:

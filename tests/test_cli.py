@@ -580,6 +580,50 @@ def test_hpo_bad_rungs_flag(reg_run, tmp_path, capsys):
     assert "rungs" in capsys.readouterr().err
 
 
+def test_hpo_config_may_not_set_metric_or_dtype(reg_run, tmp_path, capsys):
+    # a study scores by the task's default metric and trains in float32
+    for key, value in (("metric", "rmse"), ("dtype", "float64")):
+        cfg = _write_config(tmp_path / f"{key}.json", **{key: value})
+        out = tmp_path / key
+        rc = main(["hpo", "--data", reg_run.data, "--config", cfg, "--trials", "1",
+                   "--rungs", "1", "--out", str(out)])
+        assert rc == 3
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
+    resolved = resolve_run_config(reg_run.cfg, cli.STUDY_SETTINGS)
+    assert not {"metric", "dtype"} & set(resolved)
+
+
+_FAILING_STUDIES = {
+    "rungs-0,1": ("0,1", {}),
+    "rungs--1,2": ("-1,2", {}),
+    "n_heads-x": ("1", {"n_heads": {"kind": "choice", "values": ["x"]}}),
+}
+
+
+def _run_failing_study(reg_run, tmp_path, case, out):
+    rungs, overlay = _FAILING_STUDIES[case]
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({**SPACE, **overlay}))
+    return main(["hpo", "--data", reg_run.data, "--config", reg_run.cfg, "--space", str(space),
+                 "--trials", "1", f"--rungs={rungs}", "--out", str(out)])
+
+
+@pytest.mark.parametrize("case", sorted(_FAILING_STUDIES))
+def test_hpo_study_that_fails_removes_the_out_it_made(reg_run, tmp_path, capsys, case):
+    out = tmp_path / "study"
+    assert _run_failing_study(reg_run, tmp_path, case, out) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_hpo_study_that_fails_keeps_an_existing_out(reg_run, tmp_path):
+    out = tmp_path / "study"
+    out.mkdir()
+    assert _run_failing_study(reg_run, tmp_path, "rungs-0,1", out) == 3
+    assert out.is_dir() and not os.listdir(out)
+
+
 # ---------------------------------------------------------------------------
 # flops
 

@@ -11,7 +11,14 @@ from rulenet.data import Batch, ColumnSpec, DatasetSchema, Preprocessing, Quanti
 from rulenet.errors import ConfigError, IndexRangeError
 from rulenet.model import RuleNetConfig
 
-from helpers import embed_categorical, embed_numerical, make_dataset
+from helpers import (
+    embed_categorical,
+    embed_numerical,
+    feature_rows,
+    feature_view,
+    make_dataset,
+    one_feature_block,
+)
 from oracles import ref_embed_row
 
 
@@ -20,8 +27,10 @@ def _bins(vals, name="x"):
 
 
 def _num_feat(bound_vals, embed_dim=4, seed=0, dtype=np.float64):
+    """The one-feature block of the numerical feature "x"."""
     rng = np.random.default_rng(seed)
-    return E.NumericalFeatureEmbedding.build("x", _bins(bound_vals), embed_dim, rng, dtype)
+    column = ColumnSpec("x", "numerical", True, None)
+    return one_feature_block(column, _bins(bound_vals), embed_dim, rng, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +64,7 @@ def test_locate_nan_rejected():
         embed_numerical(feat, np.array([float("nan")]), np.array([False]), 0.0, None)
     # a missing NaN is masked, not located
     out = embed_numerical(feat, np.array([float("nan")]), np.array([True]), 0.0, None).data
-    assert np.array_equal(out[0], feat.masked_vector.data)
+    assert np.array_equal(out[0], feature_view(feat, "x")[1])
 
 
 def test_locate_zero_width_segment():
@@ -84,12 +93,12 @@ def _embed(feat, xs, rate=0.0, rng=None):
 
 def test_embed_at_boundary_is_exact_row():
     feat = _num_feat([0, 10, 20])
-    assert np.array_equal(_embed(feat, [10.0])[0], feat.table.data[1])
+    assert np.array_equal(_embed(feat, [10.0])[0], feature_view(feat, "x")[0][1])
 
 
 def test_embed_midpoint_frozen_example():
     feat = _num_feat([0, 10, 20], embed_dim=2)
-    feat.table.data[:] = [[9.0, 9.0], [1.0, 0.0], [0.0, 1.0]]
+    feature_view(feat, "x")[0][:] = [[9.0, 9.0], [1.0, 0.0], [0.0, 1.0]]
     np.testing.assert_allclose(_embed(feat, [15.0])[0], [0.5, 0.5], atol=1e-12)
 
 
@@ -97,7 +106,7 @@ def test_embed_mask_rate_one_always_masked():
     feat = _num_feat([0, 10, 20])
     out = _embed(feat, [0.0, 7.5, 100.0], rate=1.0, rng=np.random.default_rng(0))
     for row in out:
-        assert np.array_equal(row, feat.masked_vector.data)
+        assert np.array_equal(row, feature_view(feat, "x")[1])
 
 
 def test_embed_masked_fraction():
@@ -106,7 +115,7 @@ def test_embed_masked_fraction():
     rng = np.random.default_rng(99)
     vals = np.linspace(0, 1, n)
     out = embed_numerical(feat, vals, np.zeros(n, dtype=bool), 0.1, rng).data
-    frac = float((out == feat.masked_vector.data).all(axis=1).mean())
+    frac = float((out == feature_view(feat, "x")[1]).all(axis=1).mean())
     assert abs(frac - 0.1) < 0.006
 
 
@@ -116,7 +125,7 @@ def test_missing_value_masked_even_in_eval():
         feat,
         np.array([3.0]), np.array([True]), 0.0, None
     ).data
-    assert np.array_equal(out[0], feat.masked_vector.data)
+    assert np.array_equal(out[0], feature_view(feat, "x")[1])
 
 
 def test_masked_output_independent_of_value():
@@ -124,7 +133,7 @@ def test_masked_output_independent_of_value():
     a = embed_numerical(feat, np.array([3.0]), np.array([True]), 0.0, None).data
     b = embed_numerical(feat, np.array([99.0]), np.array([True]), 0.0, None).data
     assert np.array_equal(a, b)
-    assert np.array_equal(a[0], feat.masked_vector.data)
+    assert np.array_equal(a[0], feature_view(feat, "x")[1])
 
 
 def test_gradient_hits_exactly_the_used_rows():
@@ -133,11 +142,11 @@ def test_gradient_hits_exactly_the_used_rows():
         out = embed_numerical(feat, np.array([15.0]), np.array([False]), 0.0, None)
         loss = T.sum_all(out)
     T.backward(tape, loss)
-    g = feat.table.grad
+    g, g_masked = feature_view(feat, "x", feat.table.grad)
     assert np.all(g[0] == 0.0)
     np.testing.assert_allclose(g[1], 0.5)
     np.testing.assert_allclose(g[2], 0.5)
-    assert feat.masked_vector.grad is None or np.all(feat.masked_vector.grad == 0.0)
+    assert np.all(g_masked == 0.0)
 
 
 def test_gradient_of_masked_value_hits_masked_vector_only():
@@ -146,15 +155,21 @@ def test_gradient_of_masked_value_hits_masked_vector_only():
         out = embed_numerical(feat, np.array([15.0]), np.array([True]), 0.0, None)
         loss = T.sum_all(out)
     T.backward(tape, loss)
-    assert np.all(feat.table.grad == 0.0)
-    np.testing.assert_allclose(feat.masked_vector.grad, 1.0)
+    g, g_masked = feature_view(feat, "x", feat.table.grad)
+    assert np.all(g == 0.0)
+    np.testing.assert_allclose(g_masked, 1.0)
 
 
 def test_continuity_at_shared_boundary():
     feat = _num_feat([0, 10, 20], seed=5)
     # limit from the left segment: f=1 of segment 0
+    rows, _ = feature_rows(feat.schema, feat.bins)["x"]
     left = T.interp_rows(
-        feat.table, np.array([0]), np.array([1]), np.array([0.0]), np.array([1.0])
+        feat.table,
+        np.array([rows.start]),
+        np.array([rows.start + 1]),
+        np.array([0.0]),
+        np.array([1.0]),
     ).data[0]
     # evaluation at the boundary itself: f=0 of segment 1
     at = _embed(feat, [10.0])[0]
@@ -170,7 +185,7 @@ def test_piecewise_linearity_within_segment():
 
 def test_two_quantiles_is_global_lerp():
     feat = _num_feat([-4.0, 6.0], seed=7)
-    lo, hi = feat.table.data
+    lo, hi = feature_view(feat, "x")[0]
     xs = (-4.0, -1.0, 2.5, 6.0, 11.0)
     for x, got in zip(xs, _embed(feat, xs)):
         f = min(max((x - -4.0) / 10.0, 0.0), 1.0)
@@ -182,29 +197,30 @@ def test_two_quantiles_is_global_lerp():
 # categorical embedding
 
 
-def _cat_feat(vocab_size=3, embed_dim=4, seed=1):
-    rng = np.random.default_rng(seed)
-    return E.CategoricalFeatureEmbedding.build(
-        "c", vocab_size + 2, vocab_size + 1, embed_dim, rng, np.float64
-    )
+_CAT = ColumnSpec("c", "categorical", False, ["u", "v", "w"])
+
+
+def _cat_feat(embed_dim=4, seed=1):
+    """The one-feature block of the categorical feature "c" (vocab of 3)."""
+    return one_feature_block(_CAT, None, embed_dim, np.random.default_rng(seed), np.float64)
 
 
 def test_categorical_plain_lookup():
     feat = _cat_feat()
     out = embed_categorical(feat, np.array([2]), 0.0, None)
-    assert np.array_equal(out.data[0], feat.table.data[2])
+    assert np.array_equal(out.data[0], feature_view(feat, "c")[0][2])
 
 
 def test_categorical_masked_id_lookup():
     feat = _cat_feat()
-    out = embed_categorical(feat, np.array([feat.masked_id]), 0.0, None)
-    assert np.array_equal(out.data[0], feat.table.data[feat.masked_id])
+    out = embed_categorical(feat, np.array([_CAT.masked_id]), 0.0, None)
+    assert np.array_equal(out.data[0], feature_view(feat, "c")[0][_CAT.masked_id])
 
 
 def test_categorical_mask_rate_one():
     feat = _cat_feat()
     out = embed_categorical(feat, np.array([0]), 1.0, np.random.default_rng(3))
-    assert np.array_equal(out.data[0], feat.table.data[feat.masked_id])
+    assert np.array_equal(out.data[0], feature_view(feat, "c")[0][_CAT.masked_id])
 
 
 def test_categorical_invalid_id_names_feature():
@@ -251,13 +267,38 @@ def test_embed_row_stacks_in_schema_order():
     out = feats.embed_row(_tiny_batch(), 0.0)
     assert out.shape == (2, 3, 4)
     # token 0 = feature "a", token 1 = "c", token 2 = "b" (file order)
-    a0 = embed_numerical(
-        feats.numerical[0],
-        np.array([0.5]), np.array([False]), 0.0, None
-    ).data[0]
-    c0 = feats.categorical[0].table.data[0]
+    a_rows = feature_view(feats, "a")[0]
+    a0 = 0.5 * a_rows[0] + 0.5 * a_rows[1]  # 0.5 is halfway along [0, 1]
+    c0 = feature_view(feats, "c")[0][0]
     assert np.array_equal(out.data[0, 0], a0)
     assert np.array_equal(out.data[0, 1], c0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_build_stacks_per_feature_draws_in_init_order(dtype):
+    """The table is each feature's own init draws from the shared rng, at
+    the rows feature_rows derives: every numerical feature's boundary
+    vectors and then its masked vector, then every categorical table."""
+    prep = _tiny_prep()  # kinds interleave: a (numerical), c, b (numerical)
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    feats = E.FeatureEmbeddings.build(prep, 4, got_rng, dtype)
+    want = {}
+    for col in prep.schema.numerical_features:
+        n_q = prep.bins[col.name].n_quantiles
+        want[col.name] = (want_rng.normal(0.0, 0.5, (n_q, 4)), want_rng.normal(0.0, 0.5, 4))
+    for col in prep.schema.categorical_features:
+        rows = want_rng.normal(0.0, 0.5, (col.table_size, 4))
+        want[col.name] = (rows, rows[col.masked_id])
+    for name, (rows, masked) in want.items():
+        got_rows, got_masked = feature_view(feats, name)
+        assert np.array_equal(got_rows, rows.astype(dtype)), name
+        assert np.array_equal(got_masked, masked.astype(dtype)), name
+    assert feats.table.dtype == dtype
+    # no other rows: the blocks, plus one masked row per numerical feature
+    n_rows = sum(len(rows) for rows, _ in want.values()) + len(prep.bins)
+    assert feats.table.shape == (n_rows, 4)
+    assert got_rng.random() == want_rng.random()
+    assert [name for name, _ in feats.parameters()] == ["embed.table"]
 
 
 def test_embed_row_deterministic_given_rng():
@@ -274,12 +315,10 @@ def test_embed_row_eval_masks_only_missing():
     batch = _tiny_batch()
     batch.numeric_missing[1, 0] = True
     out = feats.embed_row(batch, 0.5).data
-    assert np.array_equal(out[1, 0], feats.numerical[0].masked_vector.data)
+    a_rows, a_masked = feature_view(feats, "a")
+    assert np.array_equal(out[1, 0], a_masked)
     # the non-missing cell is never masked in eval mode
-    plain = embed_numerical(
-        feats.numerical[0],
-        np.array([0.5]), np.array([False]), 0.0, None
-    ).data[0]
+    plain = 0.5 * a_rows[0] + 0.5 * a_rows[1]  # 0.5 is halfway along [0, 1]
     assert np.array_equal(out[0, 0], plain)
 
 
@@ -292,16 +331,14 @@ def _feature_blocks(draw):
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     value = st.floats(-100.0, 100.0, allow_subnormal=False)
-    columns, numerical, categorical = [], [], []
+    columns, bins = [], {}
     numeric, missing, ids = [], [], []
     for i, kind in enumerate(kinds):
         name = f"f{i}"
         if kind == "n":
             n_q = draw(st.integers(2, 5))
             bounds = sorted(draw(st.lists(value, min_size=n_q, max_size=n_q)))
-            numerical.append(
-                E.NumericalFeatureEmbedding.build(name, _bins(bounds, name), 3, rng, dtype)
-            )
+            bins[name] = _bins(bounds, name)
             gone = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
             xs = draw(st.lists(st.floats(-150.0, 150.0), min_size=rows, max_size=rows))
             numeric.append([float("nan") if g else x for g, x in zip(gone, xs)])
@@ -310,11 +347,6 @@ def _feature_blocks(draw):
         else:
             vocab = [f"v{k}" for k in range(draw(st.integers(1, 3)))]
             col = ColumnSpec(name, "categorical", False, vocab)
-            categorical.append(
-                E.CategoricalFeatureEmbedding.build(
-                    name, col.table_size, col.masked_id, 3, rng, dtype
-                )
-            )
             cell = st.integers(0, col.table_size - 1)
             ids.append(draw(st.lists(cell, min_size=rows, max_size=rows)))
             columns.append(col)
@@ -326,7 +358,8 @@ def _feature_blocks(draw):
         target=None,
         n_rows=rows,
     )
-    return E.FeatureEmbeddings(schema, numerical, categorical), batch
+    prep = Preprocessing(schema=schema, bins=bins, normalizer=None)
+    return E.FeatureEmbeddings.build(prep, 3, rng, dtype), batch
 
 
 @settings(max_examples=150, deadline=None)
@@ -369,8 +402,8 @@ def test_out_of_range_id_never_reads_a_neighbouring_table(j, beyond, train_mode)
     in the next one's: each feature's ids are checked against its own table,
     before any are masked."""
     feats = _two_categorical_embeddings()
-    feat = feats.categorical[j]
-    size = feat.table.shape[0]
+    feat = feats.schema.categorical_features[j]
+    size = feat.table_size
     bad = -1 if beyond < 0 else size + beyond
     ids = np.array([[1, 2], [0, 1]])
     ids[1, j] = bad
@@ -379,8 +412,8 @@ def test_out_of_range_id_never_reads_a_neighbouring_table(j, beyond, train_mode)
         feats.embed_row(batch, 1.0, np.random.default_rng(0) if train_mode else None)
 
 
-@pytest.mark.parametrize("numerical, ops", [(True, 5), (False, 3)])
-def test_embed_row_tape_ops_do_not_grow_with_features(numerical, ops):
+@pytest.mark.parametrize("numerical", [True, False])
+def test_embed_row_tape_ops_do_not_grow_with_features(numerical):
     counts = []
     for m in (8, 128):
         n_num = m - 2 if numerical else 0
@@ -390,7 +423,7 @@ def test_embed_row_tape_ops_do_not_grow_with_features(numerical, ops):
             with T.Tape() as tape:
                 feats.embed_row(enc, 0.3, np.random.default_rng(1) if train_mode else None)
             counts.append(len(tape.entries))
-    assert counts == [ops] * 4
+    assert counts == [2] * 4  # interp_rows and reshape
 
 
 # ---------------------------------------------------------------------------
