@@ -339,7 +339,22 @@ _CHECKED_PARAMS = [
     "dec.0.ff.in.bias",
     "final_norm.bias",
     "head.weight",
+    # one feature's block of embed.table: (feature, "table" rows or "masked" row)
+    "embed.num.num0.table",
+    "embed.num.num0.masked",
+    "embed.cat.cat0.table",
 ]
+
+
+def _checked_view(model, name, grad=False):
+    """The checked parameter's data (or grad), or a feature's block of embed.table."""
+    if not name.startswith("embed.") or name == "embed.table":
+        t = model.named_parameters()[name]
+        return t.grad if grad else t.data
+    _, _, feature, part = name.split(".")
+    feats = model.features
+    rows, masked = feature_view(feats, feature, feats.table.grad if grad else None)
+    return rows if part == "table" else masked
 
 
 def _model_loss(model, batch, mode="eval", seed=None):
@@ -353,14 +368,13 @@ def test_full_model_gradients_float64(name):
     # the batch has missing cells, so the masked vectors take part even in
     # deterministic eval mode
     model, batch = tiny_model(seed=21, dtype=np.float64, rows=4, missing_rate=0.3)
-    params = model.named_parameters()
     with T.Tape() as tape:
         loss = _model_loss(model, batch)
     T.backward(tape, loss)
-    got = params[name].grad.copy()
+    got = _checked_view(model, name, grad=True).copy()
     assert np.abs(got).max() > 0, f"{name} saw no gradient; pick another seed"
 
-    want = fd_gradient(lambda: _model_loss(model, batch).item(), params[name].data)
+    want = fd_gradient(lambda: _model_loss(model, batch).item(), _checked_view(model, name))
     assert max_rel_err(got, want) < 1e-6
 
 
