@@ -284,6 +284,16 @@ def _parse_rungs(text):
         raise ConfigError(f"rungs must be comma-separated integers, got {text!r}") from None
 
 
+def _missing_dirs(path) -> list:
+    """The components of path that do not exist yet, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def cmd_hpo(args) -> int:
     cfg = resolve_run_config(
         args.config,
@@ -311,9 +321,9 @@ def cmd_hpo(args) -> int:
 
     space = space.constrained(AblationSwitches(**{ABLATIONS[a]: True for a in cfg["ablation"]}))
 
-    created = not os.path.exists(args.out)
-    make_dirs(args.out)
+    created = _missing_dirs(args.out)
     try:
+        make_dirs(args.out)
         best, records = run_study(
             space,
             prep,
@@ -325,9 +335,11 @@ def cmd_hpo(args) -> int:
             workers=cfg["workers"],
         )
     except BaseException:
-        if created:  # rmdir removes it only while it is still empty
-            with contextlib.suppress(OSError):
-                os.rmdir(args.out)
+        # rmdir removes a directory only while it is empty, so the first
+        # one that is not ends the walk up
+        with contextlib.suppress(OSError):
+            for path in created:
+                os.rmdir(path)
         raise
 
     write_study_files(args.out, best, records, space)

@@ -323,6 +323,7 @@ def run_study(
         for t in active:
             if results[t] is None:
                 records[t].status = STATUS_FAILED
+                del trainers[t]  # frees its model and optimizer now, not at return
             else:
                 records[t].rung_scores.append({"epoch": rung, "score": results[t]})
                 records[t].score = results[t]
@@ -343,6 +344,7 @@ def run_study(
                 survivors.append(t)
             else:
                 records[t].status = STATUS_PRUNED
+                del trainers[t]
         active = survivors
 
     completed = [r for r in records if r.status == STATUS_COMPLETED]

@@ -238,10 +238,66 @@ def _scale_bwd(rec: OpRecord, g: np.ndarray):
     return (g * np.asarray(s, dtype=g.dtype),)
 
 
+# Eigen's float32 rational erf (generic_fast_erf_float): on z clamped to
+# [-4, 4], erf(z) = z * P(z^2) / Q(z^2), coefficients highest degree first.
+_ERF_P = tuple(np.float32(c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06, -5.69250639462346e-05,
+    -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02,
+))
+_ERF_Q = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
+    -1.42647390514189e-02,
+))
+# values per pass of _phi_float32: its four chunk-sized arrays (input, output,
+# two scratch buffers) take 512 KiB, which stays in a core's L2 cache
+_PHI_CHUNK = 1 << 15
+
+
+def _horner(z2: np.ndarray, coeffs: tuple, out: np.ndarray) -> np.ndarray:
+    """The polynomial with these coefficients (highest degree first) at z2, into out."""
+    np.multiply(z2, coeffs[0], out=out)
+    out += coeffs[1]
+    for c in coeffs[2:]:
+        out *= z2
+        out += c
+    return out
+
+
+def _phi_float32(x: np.ndarray) -> np.ndarray:
+    """Gaussian CDF of a float32 array: 1/2 + erf(x / sqrt 2) / 2, clipped to [0, 1].
+
+    The erf is Eigen's float32 rational, evaluated in place one chunk at a
+    time so that each of its passes stays in cache. Every value is within
+    3e-7 of the exact CDF, and Phi(0) is 0.5 exactly. The scratch buffers
+    belong to the call, so concurrent calls share nothing.
+    """
+    out = np.empty(x.shape, dtype=np.float32)
+    flat, phi = x.reshape(-1), out.reshape(-1)
+    scratch = np.empty((2, min(flat.size, _PHI_CHUNK)), dtype=np.float32)
+    for i in range(0, flat.size, _PHI_CHUNK):
+        p = phi[i : i + _PHI_CHUNK]
+        z, z2 = scratch[:, : p.size]
+        np.multiply(flat[i : i + _PHI_CHUNK], 0.7071067811865476, out=z)
+        np.clip(z, -4.0, 4.0, out=z)
+        np.multiply(z, z, out=z2)
+        _horner(z2, _ERF_P, out=p)
+        p *= z
+        p /= _horner(z2, _ERF_Q, out=z)
+        p *= 0.5
+        p += 0.5
+        np.clip(p, 0.0, 1.0, out=p)
+    return out
+
+
 def gelu(x: Tensor) -> Tensor:
-    # Exact form x * Phi(x) with the Gaussian CDF, not the tanh approximation.
-    # Phi(x) is kept for the backward, which would otherwise evaluate it again.
-    phi = ndtr(x.data)
+    """x * Phi(x) with the Gaussian CDF Phi, not the tanh approximation.
+
+    float64, the gradient-verification dtype, takes Phi from scipy's exact
+    `ndtr`; float32 takes the rational `_phi_float32`. Phi is kept for the
+    VJP, g * (Phi + x * pdf(x)) with the exact pdf. So in float32 the VJP is
+    not the exact derivative of the forward, whose Phi is approximate.
+    """
+    phi = _phi_float32(x.data) if x.data.dtype == np.float32 else ndtr(x.data)
     return _emit("gelu", (x,), x.data * phi, (x.data, phi))
 
 
@@ -444,21 +500,30 @@ def _attention_probs_bwd(rec: OpRecord, g: np.ndarray):
 # regularizers
 
 
+def _dropout_keep(mask: np.ndarray, p: float, dtype) -> np.ndarray:
+    keep = mask.astype(dtype)
+    keep /= np.asarray(1.0 - p, dtype=dtype)
+    return keep
+
+
 def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
-    """Inverted dropout at rate p; the identity when rng is None."""
+    """Inverted dropout at rate p; the identity when rng is None.
+
+    The tape keeps the bool mask, a quarter of a float32 keep array; the VJP
+    rebuilds the scaled keep array from it with the forward's own ops.
+    """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout rate must satisfy 0 <= p < 1, got {p=}")
     if rng is None or p == 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= p).astype(x.dtype)
-    keep /= np.asarray(1.0 - p, dtype=x.dtype)
-    return _emit("dropout", (x,), x.data * keep, (keep,))
+    mask = rng.random(x.data.shape) >= p
+    return _emit("dropout", (x,), x.data * _dropout_keep(mask, p, x.dtype), (mask, p))
 
 
 @_vjp("dropout")
 def _dropout_bwd(rec: OpRecord, g: np.ndarray):
-    (keep,) = rec.ctx
-    return (g * keep,)
+    mask, p = rec.ctx
+    return (g * _dropout_keep(mask, p, g.dtype),)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Central finite differences here are written directly against numpy so they
 share no code with the library's backward pass. The ingest references parse
 cell by cell, the way rulenet.data did before it parsed a column at a time,
 and the embedding reference maps one cell at a time, the way
-FeatureEmbeddings.embed_row did before it became one block lookup.
+FeatureEmbeddings.embed_row did before it became one block lookup. The
+float32 Gaussian CDF reference evaluates the same rational erf as
+rulenet.tensor, from its own copy of the coefficients, over the whole array
+at once.
 """
 
 from __future__ import annotations
@@ -261,3 +264,22 @@ def ref_embed_row(feats, batch, rate, train_mode: bool, rng) -> np.ndarray:
             w_lo, w_hi = np.array([1.0 - f, f], dtype=out.dtype)
             out[r, m] = w_lo * feat_rows[i] + w_hi * feat_rows[i + 1]
     return out
+
+
+# ---------------------------------------------------------------------------
+# gelu: an unchunked reference for the float32 Gaussian CDF
+
+
+def ref_phi_float32(x: np.ndarray) -> np.ndarray:
+    """1/2 + erf(x / sqrt 2) / 2 with Eigen's float32 rational erf, clipped to [0, 1]."""
+    f32 = np.float32
+    z = np.clip(x * f32(1.0 / math.sqrt(2.0)), f32(-4.0), f32(4.0))
+    z2 = z * z
+    num = z2 * f32(-2.72614225801306e-10) + f32(2.77068142495902e-08)
+    for a in (-2.10102402082508e-06, -5.69250639462346e-05, -7.34990630326855e-04,
+              -2.95459980854025e-03, -1.60960333262415e-02):
+        num = num * z2 + f32(a)
+    den = z2 * f32(-1.45660718464996e-05) + f32(-2.13374055278905e-04)
+    for b in (-1.68282697438203e-03, -7.37332916720468e-03, -1.42647390514189e-02):
+        den = den * z2 + f32(b)
+    return np.clip(f32(0.5) + f32(0.5) * (z * num / den), f32(0.0), f32(1.0))

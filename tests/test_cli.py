@@ -615,12 +615,18 @@ def test_hpo_study_that_fails_removes_the_out_it_made(reg_run, tmp_path, capsys,
     assert _run_failing_study(reg_run, tmp_path, case, out) == 3
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+    # every parent the command made goes too
+    assert _run_failing_study(reg_run, tmp_path, case, tmp_path / "new" / "deeper" / "study") == 3
+    assert not (tmp_path / "new").exists()
 
 
 def test_hpo_study_that_fails_keeps_an_existing_out(reg_run, tmp_path):
     out = tmp_path / "study"
     out.mkdir()
     assert _run_failing_study(reg_run, tmp_path, "rungs-0,1", out) == 3
+    assert out.is_dir() and not os.listdir(out)
+    # only the parts below an existing directory were made, and only they go
+    assert _run_failing_study(reg_run, tmp_path, "rungs-0,1", out / "a" / "b") == 3
     assert out.is_dir() and not os.listdir(out)
 
 

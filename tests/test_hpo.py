@@ -1,9 +1,11 @@
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
+from rulenet import hpo
 from rulenet.data import take_rows
 from rulenet.errors import ConfigError, StudyError
 from rulenet.hpo import (
@@ -252,6 +254,38 @@ def test_diverging_lr_trials_fail_and_are_excluded():
             if r.config.lr_dense > 1.0:
                 assert r.status == "failed"
                 assert r.error
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_study_drops_a_trainer_before_the_rung_after_its_trial_ends(monkeypatch):
+    refs = []  # trainers are built in trial order
+    alive = {}  # rung epoch -> trials whose trainer exists as that rung starts
+
+    class Watched(hpo.Trainer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            refs.append(weakref.ref(self))
+
+        def run_until(self, epoch_target):
+            alive.setdefault(epoch_target, {i for i, r in enumerate(refs) if r() is not None})
+            return super().run_until(epoch_target)
+
+    monkeypatch.setattr(hpo, "Trainer", Watched)
+    prep, tr, va = _study_data(seed=82)
+    wild = _tiny_space(lr_dense=Domain("choice", values=(1e-3, 1e9)))
+    rungs = (1, 2, 3)
+    _, records = run_study(wild, prep, tr, va, n_trials=8, seed=6, rungs=rungs)
+    ended = {}  # trial -> index of the rung it ended at
+    for r in records:
+        if r.status == "pruned":
+            ended[r.trial_id] = len(r.rung_scores) - 1
+        elif r.status == "failed":
+            ended[r.trial_id] = len(r.rung_scores)
+    assert {records[t].status for t in ended} == {"pruned", "failed"}
+    for t, last in ended.items():
+        for later in rungs[last + 1 :]:
+            assert t not in alive[later]
+    assert all(t in alive[rungs[1]] for t in range(len(records)) if t not in ended)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

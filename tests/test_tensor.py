@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from scipy.special import ndtr
 
 import rulenet.tensor as T
 from rulenet.errors import ConfigError, ContractError, DimensionError, IndexRangeError
-from oracles import fd_gradient, max_rel_err
+from oracles import fd_gradient, max_rel_err, ref_phi_float32
 
 
 def _grad_of(build, params):
@@ -278,6 +279,24 @@ def test_dropout_grad_fd():
         return T.sum_all(T.mul(out, w))
 
     _fd_check(build, [x])
+
+
+def test_dropout_tape_keeps_a_bool_mask_and_rebuilds_the_keep_array_bitwise():
+    rng = np.random.default_rng(12)
+    x = T.Tensor(rng.standard_normal((6, 7)), requires_grad=True, dtype=np.float32)
+    p = 0.3
+    with T.Tape() as tape:
+        out = T.dropout(x, p, np.random.default_rng(5))
+    (rec,) = tape.entries
+    mask, rate = rec.ctx
+    assert mask.dtype == np.bool_ and mask.shape == x.shape and rate == p
+    # the float32 keep array that the tape used to hold, from the same draws
+    keep = (np.random.default_rng(5).random(x.shape) >= p).astype(np.float32)
+    keep /= np.asarray(1.0 - p, dtype=np.float32)
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    assert np.array_equal(out.data, x.data * keep)
+    (gx,) = T._BACKWARD["dropout"](rec, g)
+    assert gx.dtype == np.float32 and np.array_equal(gx, g * keep)
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +605,71 @@ def test_gelu_matches_closed_form(dtype):
     out, (gx,) = _taped(lambda: T.gelu(x), [x], seed=5)
     g = np.random.default_rng(5).standard_normal(out.shape).astype(dtype)
     xd = x.data
+    phi = ref_phi_float32(xd) if dtype == np.float32 else ndtr(xd)
     pdf = np.exp(-0.5 * xd * xd) * np.asarray(1.0 / math.sqrt(2.0 * math.pi), dtype=dtype)
-    assert np.array_equal(out, xd * ndtr(xd))
-    assert np.array_equal(gx, g * (ndtr(xd) + xd * pdf))
+    assert np.array_equal(out, xd * phi)
+    assert np.array_equal(gx, g * (phi + xd * pdf))
+
+
+def _sweep_points():
+    """30M evenly spaced points over [-12, 12], then every 61st float32 bit
+    pattern in (-1, 1), both signs: a million values at a time."""
+    for k in range(30):
+        lo = -12.0 + 0.8 * k
+        yield np.linspace(lo, lo + 0.8, 1_000_000, endpoint=False).astype(np.float32)
+    bits = np.arange(1, 0x3F800000, 61, dtype=np.uint32)
+    for i in range(0, bits.size, 1_000_000):
+        tiny = bits[i : i + 1_000_000].view(np.float32)
+        yield tiny
+        yield -tiny
+
+
+def test_float32_phi_stays_within_its_bound_of_the_exact_cdf():
+    phi_err = gelu_err = 0.0
+    points = 0
+    for x in _sweep_points():
+        phi = T._phi_float32(x)
+        exact = ndtr(x.astype(np.float64))
+        assert phi.dtype == np.float32 and 0.0 <= phi.min() and phi.max() <= 1.0
+        phi_err = max(phi_err, float(np.abs(phi - exact).max()))
+        gelu = T.gelu(T.Tensor(x)).data
+        gelu_err = max(gelu_err, float(np.abs(gelu - x.astype(np.float64) * exact).max()))
+        points += x.size
+    assert points >= 30_000_000
+    assert phi_err <= 3e-7
+    assert gelu_err <= 1.5e-6
+    zero = np.zeros(3, dtype=np.float32)
+    assert np.array_equal(T._phi_float32(zero), np.full(3, 0.5, dtype=np.float32))
+    assert np.array_equal(T.gelu(T.Tensor(zero)).data, zero)
+
+
+def test_gelu_from_two_threads_matches_serial_calls():
+    rng = np.random.default_rng(23)
+    # several chunks each, with a ragged last chunk
+    xs = [T.Tensor(3.0 * rng.standard_normal(n), dtype=np.float32) for n in (98_309, 65_547)]
+    serial = [T.gelu(x).data for x in xs]
+    results = [[], []]
+    start = threading.Barrier(2, timeout=30)
+
+    def work(i):
+        start.wait()
+        for _ in range(25):
+            results[i].append(T.gelu(xs[i]).data)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for want, got in zip(serial, results):
+        assert len(got) == 25
+        assert all(np.array_equal(out, want) for out in got)
 
 
 def test_fused_op_shape_errors():

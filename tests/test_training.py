@@ -4,10 +4,14 @@ import math
 import numpy as np
 import pytest
 from scipy.special import log_softmax as sp_log_softmax
+from scipy.special import ndtr
 
 from rulenet import tensor as T
-from rulenet.data import TargetNormalizer, take_rows
+from rulenet.data import TargetNormalizer, prepare, take_rows
+from rulenet.datasets import separable_classification, step_regression, write_csv
+from rulenet.ensemble import predict_point
 from rulenet.errors import ConfigError, ContractError, DivergenceError, IndexRangeError
+from rulenet.model import RuleNetConfig
 from rulenet.training import (
     AdamW,
     Trainer,
@@ -388,3 +392,46 @@ def test_nonfinite_validation_metric_is_divergence():
     t = Trainer(prep, tr, va, cfg, seed=8)
     with pytest.raises(DivergenceError, match="validation"):
         t.run_until(1)
+
+
+# ---------------------------------------------------------------------------
+# drift of the float32 rational Phi in GELU against scipy's exact ndtr
+
+_DRIFT_TABLES = {
+    "step_regression": lambda: step_regression(rows=300, seed=4),
+    "separable_classification": lambda: separable_classification(rows=300, n_features=4, seed=4),
+}
+
+
+def _three_epochs(tmp_path, name, dtype):
+    """Val metric of each epoch and the val split's point predictions."""
+    path = tmp_path / f"{name}.csv"
+    write_csv(path, *_DRIFT_TABLES[name]())
+    data = prepare(path, n_quantiles=16, seed=0)
+    cfg = RuleNetConfig.for_schema(
+        data.prep.schema, n_rules=16, embed_dim=32, n_heads=4, hidden_dim=64,
+        n_quantiles=16, batch_size=16, epochs=3,
+    )
+    model, history = train(data.prep, data.splits["train"], data.splits["val"], cfg,
+                           seed=3, dtype=dtype)
+    return np.array(history.val_metric), predict_point(model, data.splits["val"])
+
+
+@pytest.mark.parametrize("name", sorted(_DRIFT_TABLES))
+def test_float32_phi_drifts_from_exact_ndtr_within_bounds(tmp_path, monkeypatch, name):
+    metric, pred = _three_epochs(tmp_path, name, np.float32)
+    monkeypatch.setattr(T, "_phi_float32", ndtr)
+    metric_ndtr, pred_ndtr = _three_epochs(tmp_path, name, np.float32)
+    assert not np.array_equal(pred, pred_ndtr)  # the patch took effect
+    # measured: 4.4e-8 and 0 relative, 1.2e-6 and 2.3e-7 absolute
+    assert np.abs(metric - metric_ndtr).max() <= 1e-5 * np.abs(metric_ndtr).max()
+    assert np.abs(pred - pred_ndtr).max() <= 1e-4
+
+
+def test_float64_training_never_calls_the_float32_phi(tmp_path, monkeypatch):
+    def refuse(x):
+        raise AssertionError(f"float32 Phi called on {x.dtype}")
+
+    monkeypatch.setattr(T, "_phi_float32", refuse)
+    metric, pred = _three_epochs(tmp_path, "step_regression", np.float64)
+    assert pred.dtype == np.float64 and np.isfinite(metric).all()
