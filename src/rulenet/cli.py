@@ -24,14 +24,15 @@ from .checkpoint import atomic_open, load_checkpoint, make_dirs, save_checkpoint
 from .data import TASK_CLASSIFICATION, TASK_REGRESSION, encode, prepare, read_table
 from .ensemble import predict_ensemble, predict_point
 from .errors import (
+    FAILURES,
     CheckpointError,
     ConfigError,
     DivergenceError,
     FitError,
     IngestionError,
-    RuleNetError,
     SchemaError,
     StudyError,
+    describe,
 )
 from .hpo import (
     DEFAULT_RUNGS,
@@ -56,11 +57,11 @@ EXIT_CODES = (
     (DivergenceError, 7, "training diverged"),
     (CheckpointError, 8, "checkpoint error"),
     (StudyError, 9, "study error (all trials failed)"),
-    (RuleNetError, 10, "internal error"),
+    (FAILURES, 10, "internal error"),
 )
 
 
-def exit_code_for(err: RuleNetError) -> int:
+def exit_code_for(err: Exception) -> int:
     return next(code for cls, code, _ in EXIT_CODES if cls and isinstance(err, cls))
 
 
@@ -459,8 +460,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RuleNetError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except FAILURES as e:
+        print(f"error: {describe(e)}", file=sys.stderr)
         return exit_code_for(e)
 
 

@@ -2,7 +2,8 @@
 
 Every error the library raises deliberately derives from RuleNetError, so
 callers (and the CLI) can map failure classes to exit codes without string
-matching.
+matching. A MemoryError is not one, but a study and the CLI report it the
+same way, as FAILURES says.
 """
 
 from __future__ import annotations
@@ -78,3 +79,16 @@ class FingerprintError(CheckpointError):
 
 class StudyError(RuleNetError):
     """A hyperparameter study could not produce any result."""
+
+
+# what a study records as a failed trial, and the CLI reports in one line:
+# running out of memory is a failure like these, since a study's trial sizes
+# span the whole search box
+FAILURES = (RuleNetError, MemoryError)
+
+
+def describe(err: Exception) -> str:
+    """A failure's message in one line; a MemoryError's may be empty."""
+    if isinstance(err, MemoryError):
+        return f"out of memory: {err}" if str(err) else "out of memory"
+    return str(err)

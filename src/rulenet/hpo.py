@@ -27,7 +27,7 @@ import numpy as np
 
 from .checkpoint import atomic_open
 from .data import DatasetSchema, EncodedSplit, Preprocessing, fit_quantiles
-from .errors import ConfigError, RuleNetError, StudyError
+from .errors import FAILURES, ConfigError, StudyError, describe
 from .model import RuleNetConfig, fits
 from .training import METRIC_RMSE, Trainer, default_metric, train
 
@@ -79,7 +79,8 @@ class Domain:
         if self.kind == "int":
             return int(rng.integers(int(self.lo), int(self.hi) + 1))
         if self.kind == "uniform":
-            return float(rng.uniform(self.lo, self.hi))
+            # numpy refuses a range of -0.0 (lo 0, hi -0.0); + 0.0 makes it 0.0
+            return float(rng.uniform(self.lo, self.hi + 0.0))
         return float(np.exp(rng.uniform(np.log(self.lo), np.log(self.hi))))
 
     def to_json(self) -> dict:
@@ -293,8 +294,8 @@ def run_study(
                 preps[n_q], train_split, val_split, record.config,
                 seed=_trial_seed(seed, trial_id),
             )
-        except RuleNetError as e:
-            record.error = str(e)
+        except FAILURES as e:
+            record.error = describe(e)
 
     def advance(trial_id: int, epochs: int) -> Optional[float]:
         record = records[trial_id]
@@ -302,8 +303,8 @@ def run_study(
         try:
             best = trainers[trial_id].run_until(epochs)
             return oriented(metric, best)
-        except RuleNetError as e:
-            record.error = str(e)
+        except FAILURES as e:
+            record.error = describe(e)
             return None
         finally:
             record.wall_time += time.perf_counter() - start

@@ -6,6 +6,8 @@ then queries the encoded features in the decoder: each decoder layer is a
 single joint attention where the queries are the N rule states and the
 keys/values are those rule states concatenated with the M encoded features,
 so every rule sees all features and all other rules, with no causal mask.
+The rule tokens are shared by every row until they first attend, so decoder
+layer 0 normalizes and projects them once per batch, not once per row.
 Max-pool over the rule axis and a linear head produce the prediction.
 
 With decoder_layers = 0 the rule stack is skipped entirely and the head
@@ -179,9 +181,11 @@ class LayerNorm:
 class TransformerLayer:
     """Pre-LN attention + feed-forward block.
 
-    Self-attention when memory is None; with memory, queries come from x
+    Self-attention when memory is None. With memory, queries come from x
     and keys/values from [memory; x] jointly (both pre-normalized by the
-    same layer norm).
+    same layer norm). Memory and x are projected apart and their keys and
+    values concatenated, so x may be [tokens, e] that every row shares: its
+    layer norm and projections then run once, not once per row.
     """
 
     def __init__(self, embed_dim: int, n_heads: int, hidden_dim: int, rng, dtype):
@@ -203,25 +207,27 @@ class TransformerLayer:
             T.reshape(t, (rows, tokens, self.n_heads, head_dim)), (0, 2, 1, 3)
         )
 
-    def _attend(self, q_in: T.Tensor, kv_in: T.Tensor) -> T.Tensor:
-        rows, n_q_tokens, _ = q_in.shape
+    def _attend(self, q: T.Tensor, k: T.Tensor, v: T.Tensor) -> T.Tensor:
+        """Multi-head attention of projected queries [rows, n_q, e] over
+        projected keys and values [rows, n_kv, e], through the output projection."""
+        rows, n_q_tokens, _ = q.shape
         head_dim = self.embed_dim // self.n_heads
-        q = self._split_heads(self.wq(q_in))
-        k = self._split_heads(self.wk(kv_in))
-        v = self._split_heads(self.wv(kv_in))
-        probs = T.attention_probs(q, k, 1.0 / math.sqrt(head_dim))
-        ctx = T.matmul(probs, v)  # [rows, heads, tokens, head_dim]
+        probs = T.attention_probs(self._split_heads(q), self._split_heads(k), 1.0 / math.sqrt(head_dim))
+        ctx = T.matmul(probs, self._split_heads(v))  # [rows, heads, tokens, head_dim]
         merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (rows, n_q_tokens, self.embed_dim))
         return self.wo(merged)
 
     def __call__(self, x: T.Tensor, memory: Optional[T.Tensor], p_drop: float, rng) -> T.Tensor:
         h = self.norm_attn(x)
-        if memory is None:
-            q_in, kv_in = h, h
-        else:
-            q_in = h
-            kv_in = T.concat([self.norm_attn(memory), h], axis=1)
-        a = T.dropout(self._attend(q_in, kv_in), p_drop, rng)
+        q, k, v = self.wq(h), self.wk(h), self.wv(h)
+        if memory is not None:
+            if h.data.ndim == 2:  # tokens shared by every row
+                rows = memory.shape[0]
+                q, k, v = (T.broadcast_rows(t, rows) for t in (q, k, v))
+            m = self.norm_attn(memory)
+            k = T.concat([self.wk(m), k], axis=1)
+            v = T.concat([self.wv(m), v], axis=1)
+        a = T.dropout(self._attend(q, k, v), p_drop, rng)
         x = T.add(x, a)
         f = self.ff2(T.gelu(self.ff1(self.norm_ff(x))))
         f = T.dropout(f, p_drop, rng)
@@ -297,8 +303,10 @@ class RuleNetModel:
         return x
 
     def decoder_forward(self, encoded: T.Tensor, rules: T.Tensor, rng=None) -> T.Tensor:
-        rows = encoded.shape[0]
-        x = T.broadcast_rows(rules, rows)
+        """The rule stack [rows, N, e]. The rule tokens [N, e] are the same for
+        every row until they first attend, so layer 0 takes them as they are
+        and runs its rule-side layer norm and projections once per batch."""
+        x = rules
         for layer in self.decoder:
             x = layer(x, encoded, self.config.transformer_dropout, rng)
         return x

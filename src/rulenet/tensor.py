@@ -248,9 +248,33 @@ _ERF_Q = tuple(np.float32(c) for c in (
     -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
     -1.42647390514189e-02,
 ))
-# values per pass of _phi_float32: its four chunk-sized arrays (input, output,
-# two scratch buffers) take 512 KiB, which stays in a core's L2 cache
-_PHI_CHUNK = 1 << 15
+# values per pass of a cache-blocked kernel (gelu, layer_norm and their VJPs):
+# the handful of chunk-sized float32 arrays a pass touches, 128 KiB each, stay
+# in a core's L2 cache
+_CHUNK = 1 << 15
+
+
+def _chunks(*arrays: np.ndarray):
+    """Matching flat slices of same-shaped arrays, _CHUNK values each (the
+    last may be shorter). Arrays written through a slice must be contiguous,
+    so that their flat view is not a copy."""
+    flats = [a.reshape(-1) for a in arrays]
+    for i in range(0, flats[0].size, _CHUNK):
+        yield tuple(f[i : i + _CHUNK] for f in flats)
+
+
+def _row_chunks(*arrays: np.ndarray):
+    """Matching slices along axis 0 of arrays that agree in it, about _CHUNK
+    values of the first each. A slice keeps whole rows of the last axis and
+    the input's own layout, so a reduction over that axis adds in the order
+    it does over the whole array."""
+    a = arrays[0]
+    if a.ndim < 2 or a.size <= _CHUNK:
+        yield arrays
+        return
+    step = max(1, _CHUNK * a.shape[0] // a.size)
+    for i in range(0, a.shape[0], step):
+        yield tuple(b[i : i + step] for b in arrays)
 
 
 def _horner(z2: np.ndarray, coeffs: tuple, out: np.ndarray) -> np.ndarray:
@@ -263,29 +287,25 @@ def _horner(z2: np.ndarray, coeffs: tuple, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _phi_float32(x: np.ndarray) -> np.ndarray:
+def _phi_float32(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Gaussian CDF of a float32 array: 1/2 + erf(x / sqrt 2) / 2, clipped to [0, 1].
 
-    The erf is Eigen's float32 rational, evaluated in place one chunk at a
-    time so that each of its passes stays in cache. Every value is within
-    3e-7 of the exact CDF, and Phi(0) is 0.5 exactly. The scratch buffers
-    belong to the call, so concurrent calls share nothing.
+    The erf is Eigen's float32 rational, evaluated in place in out. Every
+    value is within 3e-7 of the exact CDF, and Phi(0) is 0.5 exactly. gelu
+    calls it one chunk at a time, so that each of its passes stays in cache;
+    the scratch buffers belong to the call, so concurrent calls share nothing.
     """
-    out = np.empty(x.shape, dtype=np.float32)
-    flat, phi = x.reshape(-1), out.reshape(-1)
-    scratch = np.empty((2, min(flat.size, _PHI_CHUNK)), dtype=np.float32)
-    for i in range(0, flat.size, _PHI_CHUNK):
-        p = phi[i : i + _PHI_CHUNK]
-        z, z2 = scratch[:, : p.size]
-        np.multiply(flat[i : i + _PHI_CHUNK], 0.7071067811865476, out=z)
-        np.clip(z, -4.0, 4.0, out=z)
-        np.multiply(z, z, out=z2)
-        _horner(z2, _ERF_P, out=p)
-        p *= z
-        p /= _horner(z2, _ERF_Q, out=z)
-        p *= 0.5
-        p += 0.5
-        np.clip(p, 0.0, 1.0, out=p)
+    if out is None:
+        out = np.empty(x.shape, dtype=np.float32)
+    z = np.multiply(x, 0.7071067811865476, dtype=np.float32)
+    np.clip(z, -4.0, 4.0, out=z)
+    z2 = np.multiply(z, z)
+    _horner(z2, _ERF_P, out=out)
+    out *= z
+    out /= _horner(z2, _ERF_Q, out=z)
+    out *= 0.5
+    out += 0.5
+    np.clip(out, 0.0, 1.0, out=out)
     return out
 
 
@@ -293,26 +313,35 @@ def gelu(x: Tensor) -> Tensor:
     """x * Phi(x) with the Gaussian CDF Phi, not the tanh approximation.
 
     float64, the gradient-verification dtype, takes Phi from scipy's exact
-    `ndtr`; float32 takes the rational `_phi_float32`. Phi is kept for the
-    VJP, g * (Phi + x * pdf(x)) with the exact pdf. So in float32 the VJP is
-    not the exact derivative of the forward, whose Phi is approximate.
+    `ndtr`; float32 takes the rational `_phi_float32`. Phi and the product
+    are computed one cache-sized chunk at a time. Phi is kept for the VJP,
+    g * (Phi + x * pdf(x)) with the exact pdf. So in float32 the VJP is not
+    the exact derivative of the forward, whose Phi is approximate.
     """
-    phi = _phi_float32(x.data) if x.data.dtype == np.float32 else ndtr(x.data)
-    return _emit("gelu", (x,), x.data * phi, (x.data, phi))
+    cdf = _phi_float32 if x.data.dtype == np.float32 else ndtr
+    phi = np.empty(x.data.shape, dtype=x.dtype)
+    out = np.empty(x.data.shape, dtype=x.dtype)
+    for xs, ps, os in _chunks(x.data, phi, out):
+        cdf(xs, out=ps)
+        np.multiply(xs, ps, out=os)
+    return _emit("gelu", (x,), out, (x.data, phi))
 
 
 @_vjp("gelu")
 def _gelu_bwd(rec: OpRecord, g: np.ndarray):
     x, phi = rec.ctx
-    # g * (Phi + x * pdf) in one buffer, each step in the order of the
+    # g * (Phi + x * pdf) one chunk at a time, each step in the order of the
     # unfused expression so the bits do not change
-    d = np.asarray(-0.5 * x)
-    d *= x
-    np.exp(d, out=d)
-    d *= np.asarray(_INV_SQRT_2PI, dtype=x.dtype)
-    d *= x
-    d += phi
-    d *= g
+    d = np.empty(x.shape, dtype=x.dtype)
+    inv_sqrt_2pi = np.asarray(_INV_SQRT_2PI, dtype=x.dtype)
+    for xs, ps, gs, ds in _chunks(x, phi, g, d):
+        np.multiply(xs, -0.5, out=ds)
+        ds *= xs
+        np.exp(ds, out=ds)
+        ds *= inv_sqrt_2pi
+        ds *= xs
+        ds += ps
+        ds *= gs
     return (d,)
 
 
@@ -432,14 +461,29 @@ def _log_softmax_bwd(rec: OpRecord, g: np.ndarray):
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis.
+
+    Computed in place, a cache-sized block of rows at a time, with the ops of
+    the unblocked formula in its order, so the bits do not depend on the
+    blocking.
+    """
     if x.data.shape[-1] < 1:
         raise DimensionError(f"layer_norm: empty last axis in {x.data.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    y = xc * inv
-    out = y * gain.data + bias.data
+    shape, dtype = x.data.shape, x.dtype
+    y = np.empty(shape, dtype=dtype)
+    out = np.empty(shape, dtype=dtype)
+    inv = np.empty(shape[:-1] + (1,), dtype=dtype)
+    eps = np.asarray(eps, dtype=dtype)
+    for xs, ys, os, vs in _row_chunks(x.data, y, out, inv):
+        np.subtract(xs, xs.mean(axis=-1, keepdims=True), out=ys)  # x - mu
+        np.multiply(ys, ys, out=os)  # the output's block holds the squares first
+        os.mean(axis=-1, keepdims=True, out=vs)  # var
+        vs += eps
+        np.sqrt(vs, out=vs)
+        np.divide(1.0, vs, out=vs)  # inv
+        ys *= vs  # y
+        np.multiply(ys, gain.data, out=os)
+        os += bias.data
     return _emit("layer_norm", (x, gain, bias), out, (y, inv, gain.data))
 
 
@@ -447,13 +491,31 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def _layer_norm_bwd(rec: OpRecord, g: np.ndarray):
     y, inv, gain = rec.ctx
     x, gain_t, bias_t = rec.inputs
-    dy = g * gain
-    # d/dx of (x - mu)/sqrt(var + eps), means taken over the last axis
-    gx = inv * (
-        dy - dy.mean(axis=-1, keepdims=True) - y * (dy * y).mean(axis=-1, keepdims=True)
-    )
-    ggain = (g * y).reshape(-1, y.shape[-1]).sum(axis=0) if gain_t.requires_grad else None
-    gbias = g.reshape(-1, g.shape[-1]).sum(axis=0) if bias_t.requires_grad else None
+    width = y.shape[-1]
+    # inv * (dy - mean(dy) - y * mean(dy * y)) with dy = g * gain, means over
+    # the last axis: d/dx of (x - mu) / sqrt(var + eps)
+    gx = np.empty(y.shape, dtype=y.dtype)
+    ggain = None
+    for gs, ys, vs, dx in _row_chunks(g, y, inv, gx):
+        if gain_t.requires_grad:
+            # the column sums of g * y, added row after row as one sum over
+            # all rows adds them: row 0 carries the sum of the earlier blocks
+            rows = np.empty((1 + gs.size // width, width), dtype=y.dtype)
+            np.multiply(gs, ys, out=rows[1:].reshape(gs.shape))
+            if ggain is None:
+                ggain = np.add.reduce(rows[1:], axis=0)
+            else:
+                rows[0] = ggain
+                np.add.reduce(rows, axis=0, out=ggain)
+        np.multiply(gs, gain, out=dx)  # dy
+        dy_mean = dx.mean(axis=-1, keepdims=True)
+        t = np.multiply(dx, ys)
+        dyy_mean = t.mean(axis=-1, keepdims=True)
+        dx -= dy_mean
+        np.multiply(ys, dyy_mean, out=t)
+        dx -= t
+        dx *= vs
+    gbias = g.reshape(-1, width).sum(axis=0) if bias_t.requires_grad else None
     return gx, ggain, gbias
 
 
@@ -517,7 +579,9 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
     if rng is None or p == 0.0:
         return x
     mask = rng.random(x.data.shape) >= p
-    return _emit("dropout", (x,), x.data * _dropout_keep(mask, p, x.dtype), (mask, p))
+    out = _dropout_keep(mask, p, x.dtype)
+    np.multiply(x.data, out, out=out)
+    return _emit("dropout", (x,), out, (mask, p))
 
 
 @_vjp("dropout")
@@ -688,9 +752,12 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ContractError("backward: tape already swept; record a fresh tape")
     tape.consumed = True
 
-    # id -> (tensor, gradient); an op output's entry is complete, and popped,
-    # at its own record, so what is left belongs to tensors no record produced
-    grads: dict[int, tuple] = {id(loss): (loss, np.ones_like(loss.data))}
+    # id -> [tensor, gradient, owned]; an op output's entry is complete, and
+    # popped, at its own record, so what is left belongs to tensors no record
+    # produced. A VJP's array may alias another (add hands the same g to both
+    # inputs; reshape and transpose return views), so sums go in place only
+    # into a buffer this sweep allocated itself.
+    grads: dict[int, list] = {id(loss): [loss, np.ones_like(loss.data), True]}
     for rec in reversed(tape.entries):
         entry = grads.pop(id(rec.output), None)
         if entry is None:
@@ -700,8 +767,13 @@ def backward(tape: Tape, loss: Tensor) -> None:
             if gi is None or not t.requires_grad:
                 continue
             acc = grads.get(id(t))
-            grads[id(t)] = (t, gi if acc is None else acc[1] + gi)
+            if acc is None:
+                grads[id(t)] = [t, gi, False]
+            elif acc[2]:
+                acc[1] += gi
+            else:
+                acc[1], acc[2] = acc[1] + gi, True
 
-    for t, g in grads.values():
+    for t, g, _ in grads.values():
         if t.requires_grad:
             t.grad = g if t.grad is None else t.grad + g

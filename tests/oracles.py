@@ -7,7 +7,11 @@ and the embedding reference maps one cell at a time, the way
 FeatureEmbeddings.embed_row did before it became one block lookup. The
 float32 Gaussian CDF reference evaluates the same rational erf as
 rulenet.tensor, from its own copy of the coefficients, over the whole array
-at once.
+at once. The gelu and layer-norm references compute each kernel and its VJP
+over the whole array too, with the formulas rulenet.tensor used before it
+ran them a cache-sized block at a time. The per-row decoder runs layer 0 on
+rule tokens broadcast to every row, the way RuleNetModel.decoder_forward did
+before that layer took the shared [N, e] tokens.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ import bisect
 import math
 
 import numpy as np
+from scipy.special import ndtr
 
+from rulenet import tensor as T
 from rulenet.data import (
     KIND_CATEGORICAL,
     KIND_NUMERICAL,
@@ -283,3 +289,42 @@ def ref_phi_float32(x: np.ndarray) -> np.ndarray:
     for b in (-1.68282697438203e-03, -7.37332916720468e-03, -1.42647390514189e-02):
         den = den * z2 + f32(b)
     return np.clip(f32(0.5) + f32(0.5) * (z * num / den), f32(0.0), f32(1.0))
+
+
+# ---------------------------------------------------------------------------
+# gelu and layer_norm: unblocked references, forward and VJP
+
+
+def ref_gelu(x: np.ndarray, g: np.ndarray) -> tuple:
+    """gelu(x) and its VJP for the output gradient g: x * Phi and g * (Phi + x * pdf)."""
+    phi = ref_phi_float32(x) if x.dtype == np.float32 else ndtr(x)
+    pdf = np.exp(-0.5 * x * x) * np.asarray(1.0 / math.sqrt(2.0 * math.pi), dtype=x.dtype)
+    return x * phi, g * (phi + x * pdf)
+
+
+def ref_layer_norm(x, gain, bias, g, eps=1e-5) -> tuple:
+    """layer_norm over the last axis and its VJP for the output gradient g:
+    (out, d_x, d_gain, d_bias)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    y = xc * inv
+    out = y * gain + bias
+    dy = g * gain
+    gx = inv * (dy - dy.mean(axis=-1, keepdims=True) - y * (dy * y).mean(axis=-1, keepdims=True))
+    ggain = (g * y).reshape(-1, y.shape[-1]).sum(axis=0)
+    gbias = g.reshape(-1, g.shape[-1]).sum(axis=0)
+    return out, gx, ggain, gbias
+
+
+# ---------------------------------------------------------------------------
+# the decoder with layer 0's rule side computed once per row
+
+
+def decoder_forward_per_row(model, encoded, rules, rng=None):
+    """RuleNetModel.decoder_forward with the rule tokens broadcast to [rows, N, e] first."""
+    x = T.broadcast_rows(rules, encoded.shape[0])
+    for layer in model.decoder:
+        x = layer(x, encoded, model.config.transformer_dropout, rng)
+    return x

@@ -510,6 +510,19 @@ def test_hpo_unusable_out_fails_before_the_study(reg_run, monkeypatch, capsys):
     assert f"cannot write {out}: Not a directory" in capsys.readouterr().err
 
 
+def test_out_of_memory_is_one_line_and_an_internal_error(reg_run, tmp_path, monkeypatch, capsys):
+    def hungry_study(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run_study", hungry_study)
+    out = tmp_path / "study"
+    rc = main(["hpo", "--data", reg_run.data, "--trials", "1", "--out", str(out)])
+    assert rc == 10
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not out.exists()
+    assert cli.exit_code_for(MemoryError("Unable to allocate 1 GiB")) == 10
+
+
 def test_hpo_replays_its_echoed_config(reg_run, tmp_path, capsys):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     assert _run_hpo(reg_run, out1, "--ablation", "no-quant", "--ablation", "no-dec") == 0

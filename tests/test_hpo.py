@@ -57,6 +57,11 @@ def test_domain_rejects_bounds_it_cannot_sample(kind, lo, hi):
         Domain(kind, lo=lo, hi=hi)
 
 
+def test_uniform_domain_with_a_negative_zero_bound_samples_zero():
+    # numpy's uniform refuses the range hi - lo = -0.0
+    assert Domain("uniform", lo=0.0, hi=-0.0).sample(np.random.default_rng(0)) == 0.0
+
+
 @pytest.mark.parametrize("values", [5, "ab", None])
 def test_space_domain_values_must_be_a_list(values):
     with pytest.raises(ConfigError, match="'n_rules'.*must be a list"):
@@ -286,6 +291,35 @@ def test_study_drops_a_trainer_before_the_rung_after_its_trial_ends(monkeypatch)
         for later in rungs[last + 1 :]:
             assert t not in alive[later]
     assert all(t in alive[rungs[1]] for t in range(len(records)) if t not in ended)
+
+
+@pytest.mark.parametrize("where", ["build", "run"])
+def test_a_trial_out_of_memory_fails_and_the_study_goes_on(monkeypatch, where):
+    doomed = hpo._trial_seed(11, 1)
+
+    class Hungry(hpo.Trainer):
+        def __init__(self, *args, seed, **kwargs):
+            if where == "build" and seed == doomed:
+                raise MemoryError("Unable to allocate 33.0 GiB for an array")
+            super().__init__(*args, seed=seed, **kwargs)
+            self.doomed = seed == doomed
+
+        def run_until(self, epoch_target):
+            if where == "run" and self.doomed:
+                raise MemoryError()
+            return super().run_until(epoch_target)
+
+    monkeypatch.setattr(hpo, "Trainer", Hungry)
+    prep, tr, va = _study_data()
+    best, records = run_study(_tiny_space(), prep, tr, va, n_trials=4, seed=11, rungs=(1, 2))
+    failed = records[1]
+    assert failed.status == "failed" and failed.rung_scores == []
+    if where == "build":
+        assert failed.error == "out of memory: Unable to allocate 33.0 GiB for an array"
+    else:
+        assert failed.error == "out of memory"
+    assert all(r.error is None for r in records if r is not failed)
+    assert best.status == "completed" and best is not failed
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

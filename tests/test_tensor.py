@@ -14,7 +14,7 @@ from scipy.special import ndtr
 
 import rulenet.tensor as T
 from rulenet.errors import ConfigError, ContractError, DimensionError, IndexRangeError
-from oracles import fd_gradient, max_rel_err, ref_phi_float32
+from oracles import fd_gradient, max_rel_err, ref_gelu, ref_layer_norm
 
 
 def _grad_of(build, params):
@@ -479,6 +479,16 @@ def test_backward_same_tensor_used_twice():
     np.testing.assert_array_equal(g, [6.0])
 
 
+def test_backward_never_writes_into_an_array_a_vjp_returned():
+    # add hands one gradient array to both of its inputs; summing x's three
+    # contributions into the first of them in place would change u's too
+    x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    u = T.Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    gx, gu = _grad_of(lambda: T.sum_all(T.add(T.add(T.add(x, x), x), u)), [x, u])
+    np.testing.assert_array_equal(gx, [3.0, 3.0])
+    np.testing.assert_array_equal(gu, [1.0, 1.0])
+
+
 def test_backward_non_scalar_loss_rejected():
     x = T.Tensor(np.zeros(3), requires_grad=True)
     with T.Tape() as tape:
@@ -598,17 +608,74 @@ def test_attention_probs_matches_composition(dtype):
     _assert_bitwise(fused, _taped(composed, [xq, xk]))
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_gelu_matches_closed_form(dtype):
+# gelu runs T._CHUNK values at a time and layer_norm about as many per block
+# of rows: one chunk, then three full chunks and a ragged fourth (and, for
+# layer_norm, no rows at all)
+_ONE_CHUNK = (7, 9)
+_LAYER_NORM_SHAPES = [_ONE_CHUNK, (29, 64, 64), (3 * T._CHUNK // 16 + 5, 16), (0, 16)]
+
+
+def _assert_gelu_matches_reference(shape, dtype):
     rng = np.random.default_rng(22)
-    x = T.Tensor(3.0 * rng.standard_normal((7, 9)), requires_grad=True, dtype=dtype)
+    x = T.Tensor(3.0 * rng.standard_normal(shape), requires_grad=True, dtype=dtype)
     out, (gx,) = _taped(lambda: T.gelu(x), [x], seed=5)
     g = np.random.default_rng(5).standard_normal(out.shape).astype(dtype)
-    xd = x.data
-    phi = ref_phi_float32(xd) if dtype == np.float32 else ndtr(xd)
-    pdf = np.exp(-0.5 * xd * xd) * np.asarray(1.0 / math.sqrt(2.0 * math.pi), dtype=dtype)
-    assert np.array_equal(out, xd * phi)
-    assert np.array_equal(gx, g * (phi + xd * pdf))
+    ref_out, ref_gx = ref_gelu(x.data, g)
+    assert out.dtype == gx.dtype == dtype
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(gx, ref_gx)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_matches_closed_form(dtype):
+    _assert_gelu_matches_reference(_ONE_CHUNK, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_matches_closed_form_over_several_chunks(dtype):
+    _assert_gelu_matches_reference((3, T._CHUNK + 1001), dtype)
+
+
+def _layer_norm_inputs(rng, shape, dtype, view=lambda a: a):
+    x = view((2.0 * rng.standard_normal(shape) + rng.standard_normal(shape[-1:])).astype(dtype))
+    gain, bias = (T.Tensor(rng.standard_normal(x.shape[-1]), requires_grad=True, dtype=dtype)
+                  for _ in range(2))
+    return x, gain, bias
+
+
+def _assert_layer_norm_matches_reference(x, gain, bias):
+    xt = T.Tensor(x, requires_grad=True)
+    out, grads = _taped(lambda: T.layer_norm(xt, gain, bias), [xt, gain, bias], seed=6)
+    g = np.random.default_rng(6).standard_normal(out.shape).astype(x.dtype)
+    want = ref_layer_norm(x, gain.data, bias.data, g)
+    for got, ref in zip([out, *grads], want, strict=True):
+        assert got.dtype == ref.dtype == x.dtype
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", _LAYER_NORM_SHAPES)
+def test_layer_norm_matches_the_unblocked_reference(dtype, shape):
+    rng = np.random.default_rng(24)
+    _assert_layer_norm_matches_reference(*_layer_norm_inputs(rng, shape, dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "view",
+    [
+        lambda a: a[:, ::2],  # strided rows
+        lambda a: a[..., ::2],  # a strided last axis
+        lambda a: a.transpose(1, 0, 2),  # the blocked axis is not the outer one in memory
+        lambda a: np.broadcast_to(a[0], a.shape),  # shared rows, as broadcast_rows gives
+    ],
+    ids=["strided-rows", "strided-last-axis", "transposed", "broadcast"],
+)
+def test_layer_norm_of_a_non_contiguous_input_matches_the_reference(dtype, view):
+    rng = np.random.default_rng(25)
+    x, gain, bias = _layer_norm_inputs(rng, (58, 60, 64), dtype, view)
+    assert not x.flags.c_contiguous and x.size > 3 * T._CHUNK
+    _assert_layer_norm_matches_reference(x, gain, bias)
 
 
 def _sweep_points():

@@ -11,7 +11,7 @@ from rulenet.data import TargetNormalizer, prepare, take_rows
 from rulenet.datasets import separable_classification, step_regression, write_csv
 from rulenet.ensemble import predict_point
 from rulenet.errors import ConfigError, ContractError, DivergenceError, IndexRangeError
-from rulenet.model import RuleNetConfig
+from rulenet.model import RuleNetConfig, RuleNetModel
 from rulenet.training import (
     AdamW,
     Trainer,
@@ -25,7 +25,7 @@ from rulenet.training import (
 )
 
 from helpers import make_dataset, tiny_config, tiny_model
-from oracles import fd_gradient, max_rel_err, two_pass_rmse
+from oracles import decoder_forward_per_row, fd_gradient, max_rel_err, two_pass_rmse
 
 
 # ---------------------------------------------------------------------------
@@ -435,3 +435,19 @@ def test_float64_training_never_calls_the_float32_phi(tmp_path, monkeypatch):
     monkeypatch.setattr(T, "_phi_float32", refuse)
     metric, pred = _three_epochs(tmp_path, "step_regression", np.float64)
     assert pred.dtype == np.float64 and np.isfinite(metric).all()
+
+
+# ---------------------------------------------------------------------------
+# drift of decoder layer 0's shared rule side against the per-row path: the
+# gradients of that layer's norm_attn, wq, wk and wv and of the rule tokens
+# sum over the rows in another order
+
+
+@pytest.mark.parametrize("name", sorted(_DRIFT_TABLES))
+def test_shared_rule_side_drifts_from_the_per_row_path_within_bounds(tmp_path, monkeypatch, name):
+    metric, pred = _three_epochs(tmp_path, name, np.float32)
+    monkeypatch.setattr(RuleNetModel, "decoder_forward", decoder_forward_per_row)
+    metric_rows, pred_rows = _three_epochs(tmp_path, name, np.float32)
+    assert not np.array_equal(pred, pred_rows)  # the patch took effect
+    assert np.abs(metric - metric_rows).max() <= 1e-5 * np.abs(metric_rows).max()
+    assert np.abs(pred - pred_rows).max() <= 1e-4
