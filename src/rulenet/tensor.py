@@ -248,9 +248,9 @@ _ERF_Q = tuple(np.float32(c) for c in (
     -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
     -1.42647390514189e-02,
 ))
-# values per pass of a cache-blocked kernel (gelu, layer_norm and their VJPs):
-# the handful of chunk-sized float32 arrays a pass touches, 128 KiB each, stay
-# in a core's L2 cache
+# values per pass of a cache-blocked kernel (gelu, layer_norm, their VJPs and
+# dropout's draws): the handful of chunk-sized arrays a pass touches, 128 KiB
+# each in float32, stay in a core's L2 cache
 _CHUNK = 1 << 15
 
 
@@ -416,35 +416,73 @@ def _linear_bwd(rec: OpRecord, g: np.ndarray):
 # normalizers
 
 
-def _softmax_fwd(x: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Softmax of x along axis, into out (which may be x itself)."""
-    # max-subtraction may hit -inf for astronomically spread inputs; exp
-    # turns that into an exact 0, which is the right answer
+# a score matrix spread wider than this keeps a shift per query: with the
+# matrix max as shift, a query's largest term is at least exp(-80), about
+# 1.8e-35, above float32's smallest normal (about 1.2e-38), so no query's
+# terms all underflow
+_SHIFT_SPREAD = 80.0
+
+
+def _row_sum(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sums of a (or of a * b, which is never built) over the last axis, kept as length 1.
+
+    einsum adds each row on its own, in less time per short row than
+    add.reduce, and a row's sum does not depend on the other rows, their
+    count or the blocking. (A gemv against ones would give a row other bits
+    depending on where it sits.)
+    """
+    sums = np.einsum("...j->...", a) if b is None else np.einsum("...j,...j->...", a, b)
+    return sums[..., None]
+
+
+def _softmax_shift(x: np.ndarray) -> np.ndarray:
+    """A shift at or above each max over the last axis, from inside its own matrix.
+
+    With 3 or more axes, it is the max of each matrix over the last two axes
+    (one long reduction, not one short one per query), unless that matrix
+    spans more than _SHIFT_SPREAD or holds inf or nan: such a matrix keeps
+    each query's own max. 1-d and 2-d inputs take the max per vector.
+    """
+    if x.ndim < 3 or x.shape[-2] < 2:
+        return x.max(axis=-1, keepdims=True)
+    hi = x.max(axis=(-2, -1), keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wide = ~(hi - x.min(axis=(-2, -1), keepdims=True) <= _SHIFT_SPREAD)[..., 0, 0]
+    if not wide.any():
+        return hi
+    shift = np.repeat(hi, x.shape[-2], axis=-2)
+    shift[wide] = x[wide].max(axis=-1, keepdims=True)
+    return shift
+
+
+def _softmax_fwd(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Softmax of x over the last axis, into out (which may be x itself)."""
+    # subtracting the shift may give -inf for astronomically spread inputs;
+    # exp turns that into an exact 0, which is the right answer
     with np.errstate(over="ignore"):
-        z = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+        z = np.subtract(x, _softmax_shift(x), out=out)
     np.exp(z, out=z)
-    z /= z.sum(axis=axis, keepdims=True)
+    z /= _row_sum(z)
     return z
 
 
-def _softmax_vjp(g: np.ndarray, s: np.ndarray, axis: int) -> np.ndarray:
-    """(g - sum(g * s)) * s along axis, in one new buffer."""
-    out = g * s
-    inner = out.sum(axis=axis, keepdims=True)
-    np.subtract(g, inner, out=out)
+def _softmax_vjp(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(g - sum(g * s)) * s over the last axis, in one new buffer."""
+    out = np.subtract(g, _row_sum(g, s))
     out *= s
     return out
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    s = _softmax_fwd(x.data, axis)
+    s = np.moveaxis(_softmax_fwd(np.moveaxis(x.data, axis, -1)), -1, axis)
     return _emit("softmax", (x,), s, (s, axis))
 
 
 @_vjp("softmax")
 def _softmax_bwd(rec: OpRecord, g: np.ndarray):
     s, axis = rec.ctx
-    return (_softmax_vjp(g, s, axis),)
+    gx = _softmax_vjp(np.moveaxis(g, axis, -1), np.moveaxis(s, axis, -1))
+    return (np.moveaxis(gx, -1, axis),)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -465,7 +503,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     Computed in place, a cache-sized block of rows at a time, with the ops of
     the unblocked formula in its order, so the bits do not depend on the
-    blocking.
+    blocking. The mean and the variance are row sums (_row_sum) divided by
+    the width.
     """
     if x.data.shape[-1] < 1:
         raise DimensionError(f"layer_norm: empty last axis in {x.data.shape}")
@@ -475,9 +514,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     inv = np.empty(shape[:-1] + (1,), dtype=dtype)
     eps = np.asarray(eps, dtype=dtype)
     for xs, ys, os, vs in _row_chunks(x.data, y, out, inv):
-        np.subtract(xs, xs.mean(axis=-1, keepdims=True), out=ys)  # x - mu
-        np.multiply(ys, ys, out=os)  # the output's block holds the squares first
-        os.mean(axis=-1, keepdims=True, out=vs)  # var
+        np.divide(_row_sum(xs), shape[-1], out=vs)  # mu
+        np.subtract(xs, vs, out=ys)  # x - mu
+        np.divide(_row_sum(ys, ys), shape[-1], out=vs)  # var
         vs += eps
         np.sqrt(vs, out=vs)
         np.divide(1.0, vs, out=vs)  # inv
@@ -508,12 +547,10 @@ def _layer_norm_bwd(rec: OpRecord, g: np.ndarray):
                 rows[0] = ggain
                 np.add.reduce(rows, axis=0, out=ggain)
         np.multiply(gs, gain, out=dx)  # dy
-        dy_mean = dx.mean(axis=-1, keepdims=True)
-        t = np.multiply(dx, ys)
-        dyy_mean = t.mean(axis=-1, keepdims=True)
+        dy_mean = _row_sum(dx) / width
+        dyy_mean = _row_sum(dx, ys) / width
         dx -= dy_mean
-        np.multiply(ys, dyy_mean, out=t)
-        dx -= t
+        dx -= np.multiply(ys, dyy_mean)
         dx *= vs
     gbias = g.reshape(-1, width).sum(axis=0) if bias_t.requires_grad else None
     return gx, ggain, gbias
@@ -543,7 +580,7 @@ def attention_probs(q: Tensor, k: Tensor, scale: float) -> Tensor:
     kt = _swap_last(k.data)
     p = np.matmul(q.data, kt)
     p *= np.asarray(s, dtype=p.dtype)
-    _softmax_fwd(p, -1, out=p)
+    _softmax_fwd(p, out=p)
     return _emit("attention_probs", (q, k), p, (q.data, kt, p, s))
 
 
@@ -551,7 +588,7 @@ def attention_probs(q: Tensor, k: Tensor, scale: float) -> Tensor:
 def _attention_probs_bwd(rec: OpRecord, g: np.ndarray):
     q, kt, p, s = rec.ctx
     q_t, k_t = rec.inputs
-    gs = _softmax_vjp(g, p, -1)
+    gs = _softmax_vjp(g, p)
     gs *= np.asarray(s, dtype=gs.dtype)
     gq = np.matmul(gs, _swap_last(kt)) if q_t.requires_grad else None
     gk = _swap_last(np.matmul(_swap_last(q), gs)) if k_t.requires_grad else None
@@ -571,14 +608,22 @@ def _dropout_keep(mask: np.ndarray, p: float, dtype) -> np.ndarray:
 def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
     """Inverted dropout at rate p; the identity when rng is None.
 
-    The tape keeps the bool mask, a quarter of a float32 keep array; the VJP
-    rebuilds the scaled keep array from it with the forward's own ops.
+    The mask keeps the draws rng.random(x.shape) >= p, drawn a cache-sized
+    block at a time: Generator.random fills in order, so the stream and the
+    bits are those of one draw, without its float64 array. The tape keeps
+    the bool mask, a quarter of a float32 keep array; the VJP rebuilds the
+    scaled keep array from it with the forward's own ops.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout rate must satisfy 0 <= p < 1, got {p=}")
     if rng is None or p == 0.0:
         return x
-    mask = rng.random(x.data.shape) >= p
+    mask = np.empty(x.data.shape, dtype=bool)
+    draws = np.empty(min(mask.size, _CHUNK))
+    for (ms,) in _chunks(mask):
+        d = draws[: ms.size]
+        rng.random(out=d)
+        np.greater_equal(d, p, out=ms)
     out = _dropout_keep(mask, p, x.dtype)
     np.multiply(x.data, out, out=out)
     return _emit("dropout", (x,), out, (mask, p))

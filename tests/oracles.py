@@ -9,9 +9,12 @@ float32 Gaussian CDF reference evaluates the same rational erf as
 rulenet.tensor, from its own copy of the coefficients, over the whole array
 at once. The gelu and layer-norm references compute each kernel and its VJP
 over the whole array too, with the formulas rulenet.tensor used before it
-ran them a cache-sized block at a time. The per-row decoder runs layer 0 on
-rule tokens broadcast to every row, the way RuleNetModel.decoder_forward did
-before that layer took the shared [N, e] tokens.
+ran them a cache-sized block at a time; the layer-norm one takes its row
+sums from einsum. The numpy row statistics (add.reduce sums and a max per
+query) are what rulenet.tensor used before its einsum row sums and its
+shift per score matrix. The per-row decoder runs layer 0 on rule tokens broadcast to every
+row, the way RuleNetModel.decoder_forward did before that layer took the
+shared [N, e] tokens.
 """
 
 from __future__ import annotations
@@ -302,20 +305,50 @@ def ref_gelu(x: np.ndarray, g: np.ndarray) -> tuple:
     return x * phi, g * (phi + x * pdf)
 
 
-def ref_layer_norm(x, gain, bias, g, eps=1e-5) -> tuple:
+def einsum_row_sum(a, b=None):
+    """Each row's sum over the last axis (of a * b), as an axis of length 1."""
+    sums = np.einsum("...j->...", a) if b is None else np.einsum("...j,...j->...", a, b)
+    return sums[..., None]
+
+
+def numpy_row_sum(a, b=None):
+    """einsum_row_sum with numpy's add.reduce: rulenet.tensor._row_sum before einsum."""
+    return (a if b is None else a * b).sum(axis=-1, keepdims=True)
+
+
+def ref_layer_norm(x, gain, bias, g, eps=1e-5, row_sum=einsum_row_sum) -> tuple:
     """layer_norm over the last axis and its VJP for the output gradient g:
-    (out, d_x, d_gain, d_bias)."""
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    (out, d_x, d_gain, d_bias). Each mean is a row sum over the width;
+    numpy_row_sum gives numpy's mean, the formula used before einsum's."""
+    width = x.shape[-1]
+
+    def mean(a, b=None):
+        return row_sum(a, b) / width
+
+    xc = x - mean(x)
+    inv = 1.0 / np.sqrt(mean(xc, xc) + np.asarray(eps, dtype=x.dtype))
     y = xc * inv
     out = y * gain + bias
     dy = g * gain
-    gx = inv * (dy - dy.mean(axis=-1, keepdims=True) - y * (dy * y).mean(axis=-1, keepdims=True))
+    gx = inv * (dy - mean(dy) - y * mean(dy, y))
     ggain = (g * y).reshape(-1, y.shape[-1]).sum(axis=0)
     gbias = g.reshape(-1, g.shape[-1]).sum(axis=0)
     return out, gx, ggain, gbias
+
+
+# ---------------------------------------------------------------------------
+# softmax: each query shifted by its own max
+
+
+def ref_softmax_per_query(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis: exp(x - the query's max), over its einsum row sum."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / einsum_row_sum(e)
+
+
+def numpy_softmax_shift(x):
+    """The max per query: rulenet.tensor._softmax_shift before one shift per score matrix."""
+    return x.max(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

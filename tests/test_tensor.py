@@ -14,7 +14,15 @@ from scipy.special import ndtr
 
 import rulenet.tensor as T
 from rulenet.errors import ConfigError, ContractError, DimensionError, IndexRangeError
-from oracles import fd_gradient, max_rel_err, ref_gelu, ref_layer_norm
+from oracles import (
+    fd_gradient,
+    max_rel_err,
+    numpy_row_sum,
+    numpy_softmax_shift,
+    ref_gelu,
+    ref_layer_norm,
+    ref_softmax_per_query,
+)
 
 
 def _grad_of(build, params):
@@ -299,6 +307,18 @@ def test_dropout_tape_keeps_a_bool_mask_and_rebuilds_the_keep_array_bitwise():
     assert gx.dtype == np.float32 and np.array_equal(gx, g * keep)
 
 
+def test_dropout_mask_drawn_in_blocks_matches_one_draw():
+    # three full blocks of draws and a ragged fourth
+    x = T.Tensor(np.ones((4, 3 * T._CHUNK // 4 + 301), dtype=np.float32), requires_grad=True)
+    p, rng, ref_rng = 0.3, np.random.default_rng(31), np.random.default_rng(31)
+    with T.Tape() as tape:
+        T.dropout(x, p, rng)
+    (rec,) = tape.entries
+    mask, _ = rec.ctx
+    assert np.array_equal(mask, ref_rng.random(x.shape) >= p)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # maxpool
 
@@ -543,13 +563,15 @@ def test_no_recording_without_tape():
 # and backward
 
 
-def _taped(build, leaves, seed=99):
-    """build()'s output and each leaf's gradient of sum(output * w), w fixed by seed."""
+def _taped(build, leaves, seed=99, w=None):
+    """build()'s output and each leaf's gradient of sum(output * w), w fixed
+    by seed unless given."""
     for p in leaves:
         p.grad = None
     with T.Tape() as tape:
         out = build()
-        w = np.random.default_rng(seed).standard_normal(out.shape)
+        if w is None:
+            w = np.random.default_rng(seed).standard_normal(out.shape)
         loss = T.sum_all(T.mul(out, T.Tensor(w, dtype=out.dtype)))
     T.backward(tape, loss)
     return out.data, [p.grad for p in leaves]
@@ -676,6 +698,103 @@ def test_layer_norm_of_a_non_contiguous_input_matches_the_reference(dtype, view)
     x, gain, bias = _layer_norm_inputs(rng, (58, 60, 64), dtype, view)
     assert not x.flags.c_contiguous and x.size > 3 * T._CHUNK
     _assert_layer_norm_matches_reference(x, gain, bias)
+
+
+# ---------------------------------------------------------------------------
+# row statistics: a row's bits never depend on the other rows of its call
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.tuples(*(st.integers(1, n) for n in (24, 4, 24, 24, 16, 64))),
+    spread=st.sampled_from([1.0, 30.0]),  # 30 sends some score matrices past _SHIFT_SPREAD
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_any_subset_of_rows_matches_the_full_call_bitwise(dims, spread, dtype, seed, data):
+    rows, heads, n_q, n_kv, head_dim, width = dims
+    subset = data.draw(st.lists(st.integers(0, rows - 1), min_size=1, unique=True), label="subset")
+    rng = np.random.default_rng(seed)
+    q = spread * rng.standard_normal((rows, heads, n_q, head_dim))
+    k = rng.standard_normal((rows, heads, n_kv, head_dim))
+    g_attn = rng.standard_normal((rows, heads, n_q, n_kv))
+    x = 2.0 * rng.standard_normal((rows, n_q, width)) + rng.standard_normal(width)
+    g_norm = rng.standard_normal(x.shape)
+    gain, bias = (T.Tensor(rng.standard_normal(width), dtype=dtype) for _ in range(2))
+    s = 1.0 / math.sqrt(head_dim)
+
+    def attention(idx):
+        qt, kt = (T.Tensor(a[idx], requires_grad=True, dtype=dtype) for a in (q, k))
+        out, grads = _taped(lambda: T.attention_probs(qt, kt, s), [qt, kt], w=g_attn[idx])
+        return [out, *grads]
+
+    def norm(idx):
+        xt = T.Tensor(x[idx], requires_grad=True, dtype=dtype)
+        out, (gx,) = _taped(lambda: T.layer_norm(xt, gain, bias), [xt], w=g_norm[idx])
+        return out, gx
+
+    everything = np.arange(rows)
+    for call in (attention, norm):
+        for full, part in zip(call(everything), call(subset), strict=True):
+            assert part.dtype == dtype
+            assert np.array_equal(part, full[subset])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_widely_spread_score_matrix_matches_the_per_query_formula_bitwise(dtype):
+    rng = np.random.default_rng(26)
+    q = rng.standard_normal((3, 2, 5, 4)).astype(dtype)
+    k = rng.standard_normal((3, 2, 7, 4)).astype(dtype)
+    s = 0.5
+    wide_q = q.copy()
+    wide_q[1, 0] *= 1e3
+    scores = np.matmul(wide_q, np.swapaxes(k, -1, -2))  # attention_probs' ops
+    scores *= np.asarray(s, dtype=dtype)
+    spread = scores.max(axis=(-2, -1)) - scores.min(axis=(-2, -1))
+    assert spread[1, 0] > T._SHIFT_SPREAD and np.sum(spread > T._SHIFT_SPREAD) == 1
+
+    base = T.attention_probs(T.Tensor(q), T.Tensor(k), s).data
+    wide = T.attention_probs(T.Tensor(wide_q), T.Tensor(k), s).data
+    assert np.isfinite(wide[1, 0]).all()
+    assert np.abs(wide[1, 0].sum(axis=-1) - 1.0).max() <= 1e-6
+    assert np.array_equal(wide[1, 0], ref_softmax_per_query(scores[1, 0]))
+    others = np.ones((3, 2), dtype=bool)
+    others[1, 0] = False
+    assert np.array_equal(wide[others], base[others])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_of_scores_holding_inf_or_nan_matches_the_per_query_formula(dtype):
+    x = np.random.default_rng(27).standard_normal((2, 3, 4, 5)).astype(dtype)
+    x[0, 1, 2, 3], x[1, 0, 0, 0], x[1, 2, 1, 1] = np.inf, -np.inf, np.nan
+    with np.errstate(invalid="ignore"):
+        out = T.softmax(T.Tensor(x)).data
+        for i, j in ((0, 1), (1, 0), (1, 2)):
+            assert np.array_equal(out[i, j], ref_softmax_per_query(x[i, j]), equal_nan=True)
+
+
+def test_patching_in_numpy_row_statistics_matches_the_parent_formulas(monkeypatch):
+    # the patch the drift test in test_training.py trains with
+    monkeypatch.setattr(T, "_row_sum", numpy_row_sum)
+    monkeypatch.setattr(T, "_softmax_shift", numpy_softmax_shift)
+    rng = np.random.default_rng(28)
+    scores = rng.standard_normal((3, 2, 5, 7)).astype(np.float32)
+    g = rng.standard_normal(scores.shape).astype(np.float32)
+    want = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    want /= want.sum(axis=-1, keepdims=True)
+    scores_t = T.Tensor(scores, requires_grad=True)
+    out, (gx,) = _taped(lambda: T.softmax(scores_t), [scores_t], w=g)
+    assert np.array_equal(out, want)
+    assert np.array_equal(gx, (g - (g * want).sum(axis=-1, keepdims=True)) * want)
+
+    x, gain, bias = _layer_norm_inputs(rng, (29, 64, 64), np.float32)
+    xt = T.Tensor(x, requires_grad=True)
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    out, grads = _taped(lambda: T.layer_norm(xt, gain, bias), [xt, gain, bias], w=g)
+    want = ref_layer_norm(x, gain.data, bias.data, g, row_sum=numpy_row_sum)
+    for a, b in zip([out, *grads], want, strict=True):
+        assert np.array_equal(a, b)
 
 
 def _sweep_points():

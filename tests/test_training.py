@@ -25,7 +25,14 @@ from rulenet.training import (
 )
 
 from helpers import make_dataset, tiny_config, tiny_model
-from oracles import decoder_forward_per_row, fd_gradient, max_rel_err, two_pass_rmse
+from oracles import (
+    decoder_forward_per_row,
+    fd_gradient,
+    max_rel_err,
+    numpy_row_sum,
+    numpy_softmax_shift,
+    two_pass_rmse,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -451,3 +458,23 @@ def test_shared_rule_side_drifts_from_the_per_row_path_within_bounds(tmp_path, m
     assert not np.array_equal(pred, pred_rows)  # the patch took effect
     assert np.abs(metric - metric_rows).max() <= 1e-5 * np.abs(metric_rows).max()
     assert np.abs(pred - pred_rows).max() <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# drift of the einsum row sums and the shift per score matrix against numpy's
+# sums and a max per query: every attention and layer-norm output changes in
+# its last bits
+
+
+@pytest.mark.parametrize("name", sorted(_DRIFT_TABLES))
+def test_einsum_row_statistics_drifts_from_numpy_reductions_within_bounds(
+    tmp_path, monkeypatch, name
+):
+    metric, pred = _three_epochs(tmp_path, name, np.float32)
+    monkeypatch.setattr(T, "_row_sum", numpy_row_sum)
+    monkeypatch.setattr(T, "_softmax_shift", numpy_softmax_shift)
+    metric_np, pred_np = _three_epochs(tmp_path, name, np.float32)
+    assert not np.array_equal(pred, pred_np)  # the patch took effect
+    # measured: 0 and 5.2e-8 relative, 1.2e-7 and 1.3e-6 absolute
+    assert np.abs(metric - metric_np).max() <= 1e-5 * np.abs(metric_np).max()
+    assert np.abs(pred - pred_np).max() <= 1e-4
