@@ -441,13 +441,16 @@ def _softmax_shift(x: np.ndarray) -> np.ndarray:
     With 3 or more axes, it is the max of each matrix over the last two axes
     (one long reduction, not one short one per query), unless that matrix
     spans more than _SHIFT_SPREAD or holds inf or nan: such a matrix keeps
-    each query's own max. 1-d and 2-d inputs take the max per vector.
+    each query's own max. 1-d and 2-d inputs take the max per vector. A
+    vector's bits thus depend on the other vectors of its matrix: a batch
+    row is kept apart only if no axis of rows is among the last two.
     """
-    if x.ndim < 3 or x.shape[-2] < 2:
+    if x.ndim < 3:
         return x.max(axis=-1, keepdims=True)
-    hi = x.max(axis=(-2, -1), keepdims=True)
+    # the initial values give a matrix with no entries a shift too
+    hi = x.max(axis=(-2, -1), keepdims=True, initial=-np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        wide = ~(hi - x.min(axis=(-2, -1), keepdims=True) <= _SHIFT_SPREAD)[..., 0, 0]
+        wide = ~(hi - x.min(axis=(-2, -1), keepdims=True, initial=np.inf) <= _SHIFT_SPREAD)[..., 0, 0]
     if not wide.any():
         return hi
     shift = np.repeat(hi, x.shape[-2], axis=-2)
@@ -474,6 +477,12 @@ def _softmax_vjp(g: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Softmax of x over axis.
+
+    With axis moved to the end, the shift is taken per matrix over the last
+    two axes (see _softmax_shift): a vector's bits are independent of other
+    batch rows only if no axis of rows is among those two.
+    """
     s = np.moveaxis(_softmax_fwd(np.moveaxis(x.data, axis, -1)), -1, axis)
     return _emit("softmax", (x,), s, (s, axis))
 

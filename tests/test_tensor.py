@@ -774,6 +774,15 @@ def test_softmax_of_scores_holding_inf_or_nan_matches_the_per_query_formula(dtyp
             assert np.array_equal(out[i, j], ref_softmax_per_query(x[i, j]), equal_nan=True)
 
 
+@pytest.mark.parametrize("n_q", [0, 1])
+def test_softmax_of_matrices_of_fewer_than_two_queries_matches_the_per_query_formula(n_q):
+    # scaled so that some matrices span more than 80 and some do not
+    x = 30 * np.random.default_rng(29).standard_normal((4, 3, n_q, 5)).astype(np.float32)
+    out = T.softmax(T.Tensor(x)).data
+    assert out.shape == x.shape
+    assert np.array_equal(out, ref_softmax_per_query(x))
+
+
 def test_patching_in_numpy_row_statistics_matches_the_parent_formulas(monkeypatch):
     # the patch the drift test in test_training.py trains with
     monkeypatch.setattr(T, "_row_sum", numpy_row_sum)
