@@ -16,9 +16,12 @@ verification), and mixing dtypes raises instead of silently upcasting.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
+import os
 import platform
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -134,6 +137,121 @@ _TLS = threading.local()
 _BACKWARD: dict[str, Callable] = {}
 
 
+# ---------------------------------------------------------------------------
+# splitting a kernel over the cores the process may run on
+
+# values per pass of a cache-blocked kernel run inline (gelu, layer_norm,
+# their VJPs and dropout's draws): the handful of block-sized arrays a pass
+# touches, 128 KiB each in float32, stay in a core's L2 cache
+_CHUNK = 1 << 15
+# values per part of a kernel split over threads: each numpy call of a part
+# covers up to this many, so that handing the GIL from thread to thread costs
+# little next to the call (with _CHUNK-sized calls two threads ran slower
+# than one)
+_PART = 1 << 17
+
+_POOL_LOCK = threading.Lock()
+# (executor, helper count) once the first split started it; False when the
+# process may run on one core only
+_POOL = None
+
+
+def _helper_count() -> int:
+    """The cores this process may run on, less the caller's own."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) - 1
+    return (os.cpu_count() or 1) - 1
+
+
+def _helpers():
+    global _POOL
+    if _POOL is None:
+        with _POOL_LOCK:
+            if _POOL is None:
+                n = _helper_count()
+                _POOL = (ThreadPoolExecutor(n, thread_name_prefix="rulenet-part"), n) if n > 0 else False
+    return _POOL
+
+
+def _forget_helpers() -> None:
+    """In a forked child, whose copy of the pool has no threads: start afresh."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _ranges(n: int, size: int, values: int) -> list:
+    """Contiguous ranges covering range(n), each about `values` of the size
+    values spread over n (the last may be shorter); (0, 0) if n is 0."""
+    step = max(1, values * n // size) if size > values else max(1, n)
+    return [(lo, min(lo + step, n)) for lo in range(0, max(1, n), step)]
+
+
+def _split(body: Callable, n: int, size: int, block: Optional[int] = None, scratch=None) -> None:
+    """Run body(lo, hi) over contiguous ranges ("parts") covering range(n).
+
+    n is the length of the axis split, an op's leading or flat axis, and
+    size the value count of the op's largest array. When that holds two
+    parts of _PART values or more and the process may run on more than one
+    core, the parts go to a pool of helper threads, one per further core,
+    started at the first such call. The caller runs the first part, then
+    each part no helper has started, so it never waits behind another
+    caller's parts and concurrent callers cannot deadlock. Otherwise body
+    runs inline, once or, with `block`, over ranges of about that many
+    values.
+
+    A body must give each output value the same ops wherever its part
+    starts, so the result is bitwise the same however the range is cut. A
+    part runs in a copy of the caller's contextvars context, so the
+    caller's np.errstate holds in it (numpy 2 keeps it there). It writes
+    only into buffers the caller allocated: memory a helper allocates stays
+    in its malloc arena, whose trim threshold is 1 GiB. With scratch =
+    (dtype, values per row of n), body(lo, hi, buf) also gets a flat buffer
+    of at least (hi - lo) rows that no other running part holds. The first
+    exception of a part is raised, once no part is running.
+    """
+    pool = _helpers() if n > 1 and size >= 2 * _PART else False
+    parts = _ranges(n, size, _PART if pool else block or size)
+    if scratch is not None:
+        dtype, row = scratch
+        width = (parts[0][1] - parts[0][0]) * row
+        free = [np.empty(width, dtype=dtype) for _ in range(min(len(parts), pool[1] + 1 if pool else 1))]
+        inner = body
+
+        def body(lo, hi):
+            buf = free.pop()
+            try:
+                inner(lo, hi, buf)
+            finally:
+                free.append(buf)
+
+    if not pool:
+        for lo, hi in parts:
+            body(lo, hi)
+        return
+    futures = [pool[0].submit(contextvars.copy_context().run, body, lo, hi) for lo, hi in parts[1:]]
+    errors = []
+    try:
+        body(*parts[0])
+    except BaseException as e:  # re-raised below, once no part still writes
+        errors.append(e)
+    # the helpers take parts from the front; take back from the end
+    for fut, part in zip(reversed(futures), reversed(parts[1:])):
+        if fut.cancel():
+            if not errors:
+                try:
+                    body(*part)
+                except BaseException as e:
+                    errors.append(e)
+        elif fut.exception() is not None:  # waits for the part to finish
+            errors.append(fut.exception())
+    if errors:
+        raise errors[0]
+
+
 def _vjp(name: str):
     def deco(fn):
         _BACKWARD[name] = fn
@@ -193,7 +311,12 @@ def add(a: Tensor, b) -> Tensor:
         raise DimensionError(
             f"add: cannot broadcast {a_t.data.shape} with {b_t.data.shape}"
         ) from None
-    return _emit("add", (a_t, b_t), a_t.data + b_t.data)
+    a_d, b_d = a_t.data, b_t.data
+    if a_d.shape != b_d.shape or a_d.ndim == 0:
+        return _emit("add", (a_t, b_t), a_d + b_d)
+    out = np.empty(a_d.shape, dtype=a_d.dtype)
+    _split(lambda lo, hi: np.add(a_d[lo:hi], b_d[lo:hi], out=out[lo:hi]), out.shape[0], out.size)
+    return _emit("add", (a_t, b_t), out)
 
 
 @_vjp("add")
@@ -248,35 +371,6 @@ _ERF_Q = tuple(np.float32(c) for c in (
     -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
     -1.42647390514189e-02,
 ))
-# values per pass of a cache-blocked kernel (gelu, layer_norm, their VJPs and
-# dropout's draws): the handful of chunk-sized arrays a pass touches, 128 KiB
-# each in float32, stay in a core's L2 cache
-_CHUNK = 1 << 15
-
-
-def _chunks(*arrays: np.ndarray):
-    """Matching flat slices of same-shaped arrays, _CHUNK values each (the
-    last may be shorter). Arrays written through a slice must be contiguous,
-    so that their flat view is not a copy."""
-    flats = [a.reshape(-1) for a in arrays]
-    for i in range(0, flats[0].size, _CHUNK):
-        yield tuple(f[i : i + _CHUNK] for f in flats)
-
-
-def _row_chunks(*arrays: np.ndarray):
-    """Matching slices along axis 0 of arrays that agree in it, about _CHUNK
-    values of the first each. A slice keeps whole rows of the last axis and
-    the input's own layout, so a reduction over that axis adds in the order
-    it does over the whole array."""
-    a = arrays[0]
-    if a.ndim < 2 or a.size <= _CHUNK:
-        yield arrays
-        return
-    step = max(1, _CHUNK * a.shape[0] // a.size)
-    for i in range(0, a.shape[0], step):
-        yield tuple(b[i : i + step] for b in arrays)
-
-
 def _horner(z2: np.ndarray, coeffs: tuple, out: np.ndarray) -> np.ndarray:
     """The polynomial with these coefficients (highest degree first) at z2, into out."""
     np.multiply(z2, coeffs[0], out=out)
@@ -287,19 +381,17 @@ def _horner(z2: np.ndarray, coeffs: tuple, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _phi_float32(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _phi_float32(x: np.ndarray, out=None, z=None, z2=None) -> np.ndarray:
     """Gaussian CDF of a float32 array: 1/2 + erf(x / sqrt 2) / 2, clipped to [0, 1].
 
-    The erf is Eigen's float32 rational, evaluated in place in out. Every
-    value is within 3e-7 of the exact CDF, and Phi(0) is 0.5 exactly. gelu
-    calls it one chunk at a time, so that each of its passes stays in cache;
-    the scratch buffers belong to the call, so concurrent calls share nothing.
+    The erf is Eigen's float32 rational, evaluated in place in out, with z
+    and z2 as scratch; each is a new array shaped as x if None. Every value
+    is within 3e-7 of the exact CDF, and Phi(0) is 0.5 exactly.
     """
-    if out is None:
-        out = np.empty(x.shape, dtype=np.float32)
-    z = np.multiply(x, 0.7071067811865476, dtype=np.float32)
+    out, z, z2 = (np.empty(x.shape, dtype=np.float32) if a is None else a for a in (out, z, z2))
+    np.multiply(x, 0.7071067811865476, out=z, dtype=np.float32)
     np.clip(z, -4.0, 4.0, out=z)
-    z2 = np.multiply(z, z)
+    np.multiply(z, z, out=z2)
     _horner(z2, _ERF_P, out=out)
     out *= z
     out /= _horner(z2, _ERF_Q, out=z)
@@ -313,35 +405,49 @@ def gelu(x: Tensor) -> Tensor:
     """x * Phi(x) with the Gaussian CDF Phi, not the tanh approximation.
 
     float64, the gradient-verification dtype, takes Phi from scipy's exact
-    `ndtr`; float32 takes the rational `_phi_float32`. Phi and the product
-    are computed one cache-sized chunk at a time. Phi is kept for the VJP,
-    g * (Phi + x * pdf(x)) with the exact pdf. So in float32 the VJP is not
-    the exact derivative of the forward, whose Phi is approximate.
+    `ndtr`; float32 takes the rational `_phi_float32`. Phi is kept for the
+    VJP, g * (Phi + x * pdf(x)) with the exact pdf. So in float32 the VJP is
+    not the exact derivative of the forward, whose Phi is approximate. Both
+    run over the flat values, split (see _split) or a cache-sized block at
+    a time.
     """
-    cdf = _phi_float32 if x.data.dtype == np.float32 else ndtr
     phi = np.empty(x.data.shape, dtype=x.dtype)
     out = np.empty(x.data.shape, dtype=x.dtype)
-    for xs, ps, os in _chunks(x.data, phi, out):
-        cdf(xs, out=ps)
+    xf, pf, of = x.data.reshape(-1), phi.reshape(-1), out.reshape(-1)
+
+    def part(lo, hi, z2=None):
+        xs, ps, os = xf[lo:hi], pf[lo:hi], of[lo:hi]
+        if z2 is None:
+            ndtr(xs, out=ps)
+        else:  # os is z until the product overwrites it
+            _phi_float32(xs, out=ps, z=os, z2=z2[: hi - lo])
         np.multiply(xs, ps, out=os)
+
+    f32 = x.data.dtype == np.float32
+    _split(part, out.size, out.size, _CHUNK, (np.float32, 1) if f32 else None)
     return _emit("gelu", (x,), out, (x.data, phi))
 
 
 @_vjp("gelu")
 def _gelu_bwd(rec: OpRecord, g: np.ndarray):
     x, phi = rec.ctx
-    # g * (Phi + x * pdf) one chunk at a time, each step in the order of the
-    # unfused expression so the bits do not change
+    # g * (Phi + x * pdf), each step in the order of the unfused expression
+    # so the bits do not change
     d = np.empty(x.shape, dtype=x.dtype)
     inv_sqrt_2pi = np.asarray(_INV_SQRT_2PI, dtype=x.dtype)
-    for xs, ps, gs, ds in _chunks(x, phi, g, d):
+    xf, pf, gf, df = x.reshape(-1), phi.reshape(-1), g.reshape(-1), d.reshape(-1)
+
+    def part(lo, hi):
+        xs, ds = xf[lo:hi], df[lo:hi]
         np.multiply(xs, -0.5, out=ds)
         ds *= xs
         np.exp(ds, out=ds)
         ds *= inv_sqrt_2pi
         ds *= xs
-        ds += ps
-        ds *= gs
+        ds += pf[lo:hi]
+        ds *= gf[lo:hi]
+
+    _split(part, d.size, d.size, _CHUNK)
     return (d,)
 
 
@@ -365,7 +471,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul: batch dimensions incompatible, {a.data.shape} x {b.data.shape}"
         ) from None
     _check_same_dtype(a, b, "matmul")
-    return _emit("matmul", (a, b), np.matmul(a.data, b.data), (a.data, b.data))
+    a_d, b_d = a.data, b.data
+    if not _shared_batch(a_d, b_d):
+        return _emit("matmul", (a, b), np.matmul(a_d, b_d), (a_d, b_d))
+    out = np.empty(a_d.shape[:-1] + b_d.shape[-1:], dtype=a_d.dtype)
+    _split(lambda lo, hi: np.matmul(a_d[lo:hi], b_d[lo:hi], out=out[lo:hi]),
+           out.shape[0], max(a_d.size, b_d.size, out.size))
+    return _emit("matmul", (a, b), out, (a_d, b_d))
+
+
+def _shared_batch(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a @ b is a batch of matrix products over the same leading
+    axes, which a split over the first of them leaves bitwise unchanged."""
+    return a.ndim > 2 and a.shape[:-2] == b.shape[:-2]
 
 
 def _swap_last(x: np.ndarray) -> np.ndarray:
@@ -377,10 +495,24 @@ def _matmul_bwd(rec: OpRecord, g: np.ndarray):
     a_data, b_data = rec.ctx
     a, b = rec.inputs
     ga = gb = None
+    if not _shared_batch(a_data, b_data):
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, _swap_last(b_data)), a_data.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(_swap_last(a_data), g), b_data.shape)
+        return ga, gb
     if a.requires_grad:
-        ga = _unbroadcast(np.matmul(g, _swap_last(b_data)), a_data.shape)
+        ga = np.empty(a_data.shape, dtype=g.dtype)
     if b.requires_grad:
-        gb = _unbroadcast(np.matmul(_swap_last(a_data), g), b_data.shape)
+        gb = np.empty(b_data.shape, dtype=g.dtype)
+
+    def part(lo, hi):
+        if ga is not None:
+            np.matmul(g[lo:hi], _swap_last(b_data[lo:hi]), out=ga[lo:hi])
+        if gb is not None:
+            np.matmul(_swap_last(a_data[lo:hi]), g[lo:hi], out=gb[lo:hi])
+
+    _split(part, g.shape[0], max(a_data.size, b_data.size, g.size))
     return ga, gb
 
 
@@ -396,7 +528,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(x, b, "linear")
     flat = x.data.reshape(-1, w.data.shape[0])
     out = np.matmul(flat, w.data)
-    out += b.data
+    _split(lambda lo, hi: np.add(out[lo:hi], b.data, out=out[lo:hi]), out.shape[0], out.size)
     out = out.reshape(x.data.shape[:-1] + w.data.shape[1:])
     return _emit("linear", (x, w, b), out, (flat, w.data))
 
@@ -469,9 +601,9 @@ def _softmax_fwd(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return z
 
 
-def _softmax_vjp(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """(g - sum(g * s)) * s over the last axis, in one new buffer."""
-    out = np.subtract(g, _row_sum(g, s))
+def _softmax_vjp(g: np.ndarray, s: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(g - sum(g * s)) * s over the last axis, into out (a new buffer if None)."""
+    out = np.subtract(g, _row_sum(g, s), out=out)
     out *= s
     return out
 
@@ -510,10 +642,10 @@ def _log_softmax_bwd(rec: OpRecord, g: np.ndarray):
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """(x - mean) / sqrt(var + eps) * gain + bias over the last axis.
 
-    Computed in place, a cache-sized block of rows at a time, with the ops of
-    the unblocked formula in its order, so the bits do not depend on the
-    blocking. The mean and the variance are row sums (_row_sum) divided by
-    the width.
+    Computed in place over blocks of rows of the leading axis, split (see
+    _split) or cache-sized, with the ops of the unblocked formula in its
+    order, so the bits do not depend on the blocking. The mean and the
+    variance are row sums (_row_sum) divided by the width.
     """
     if x.data.shape[-1] < 1:
         raise DimensionError(f"layer_norm: empty last axis in {x.data.shape}")
@@ -522,7 +654,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out = np.empty(shape, dtype=dtype)
     inv = np.empty(shape[:-1] + (1,), dtype=dtype)
     eps = np.asarray(eps, dtype=dtype)
-    for xs, ys, os, vs in _row_chunks(x.data, y, out, inv):
+    x2, y2, out2, inv2 = (np.atleast_2d(a) for a in (x.data, y, out, inv))
+
+    def part(lo, hi):
+        xs, ys, os, vs = x2[lo:hi], y2[lo:hi], out2[lo:hi], inv2[lo:hi]
         np.divide(_row_sum(xs), shape[-1], out=vs)  # mu
         np.subtract(xs, vs, out=ys)  # x - mu
         np.divide(_row_sum(ys, ys), shape[-1], out=vs)  # var
@@ -532,6 +667,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         ys *= vs  # y
         np.multiply(ys, gain.data, out=os)
         os += bias.data
+
+    _split(part, x2.shape[0], x2.size, _CHUNK)
     return _emit("layer_norm", (x, gain, bias), out, (y, inv, gain.data))
 
 
@@ -540,29 +677,45 @@ def _layer_norm_bwd(rec: OpRecord, g: np.ndarray):
     y, inv, gain = rec.ctx
     x, gain_t, bias_t = rec.inputs
     width = y.shape[-1]
+    g2, y2, inv2 = (np.atleast_2d(a) for a in (g, y, inv))
+    ggain = _column_sums(g2, y2) if gain_t.requires_grad else None
     # inv * (dy - mean(dy) - y * mean(dy * y)) with dy = g * gain, means over
     # the last axis: d/dx of (x - mu) / sqrt(var + eps)
     gx = np.empty(y.shape, dtype=y.dtype)
-    ggain = None
-    for gs, ys, vs, dx in _row_chunks(g, y, inv, gx):
-        if gain_t.requires_grad:
-            # the column sums of g * y, added row after row as one sum over
-            # all rows adds them: row 0 carries the sum of the earlier blocks
-            rows = np.empty((1 + gs.size // width, width), dtype=y.dtype)
-            np.multiply(gs, ys, out=rows[1:].reshape(gs.shape))
-            if ggain is None:
-                ggain = np.add.reduce(rows[1:], axis=0)
-            else:
-                rows[0] = ggain
-                np.add.reduce(rows, axis=0, out=ggain)
-        np.multiply(gs, gain, out=dx)  # dy
+    gx2 = np.atleast_2d(gx)
+
+    def part(lo, hi, buf):
+        ys, dx = y2[lo:hi], gx2[lo:hi]
+        np.multiply(g2[lo:hi], gain, out=dx)  # dy
         dy_mean = _row_sum(dx) / width
         dyy_mean = _row_sum(dx, ys) / width
         dx -= dy_mean
-        dx -= np.multiply(ys, dyy_mean)
-        dx *= vs
+        dx -= np.multiply(ys, dyy_mean, out=buf[: dx.size].reshape(dx.shape))
+        dx *= inv2[lo:hi]
+
+    n = gx2.shape[0]
+    _split(part, n, gx2.size, _CHUNK, (y.dtype, gx2.size // max(n, 1)))
     gbias = g.reshape(-1, width).sum(axis=0) if bias_t.requires_grad else None
     return gx, ggain, gbias
+
+
+def _column_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sums of a * b over every axis but the last, added row after row (in
+    the order of one np.add.reduce over all rows), a cache-sized block of
+    the leading axis at a time: row 0 of each block carries the sum of the
+    earlier blocks."""
+    width = a.shape[-1]
+    total = None
+    for lo, hi in _ranges(a.shape[0], a.size, _CHUNK):
+        block = a[lo:hi]
+        rows = np.empty((1 + block.size // width, width), dtype=a.dtype)
+        np.multiply(block, b[lo:hi], out=rows[1:].reshape(block.shape))
+        if total is None:
+            total = np.add.reduce(rows[1:], axis=0)
+        else:
+            rows[0] = total
+            np.add.reduce(rows, axis=0, out=total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -586,32 +739,67 @@ def attention_probs(q: Tensor, k: Tensor, scale: float) -> Tensor:
         )
     _check_same_dtype(q, k, "attention_probs")
     s = float(scale)
-    kt = _swap_last(k.data)
-    p = np.matmul(q.data, kt)
-    p *= np.asarray(s, dtype=p.dtype)
-    _softmax_fwd(p, out=p)
-    return _emit("attention_probs", (q, k), p, (q.data, kt, p, s))
+    q_d, kt = q.data, _swap_last(k.data)
+    p = np.empty(q_d.shape[:-1] + kt.shape[-1:], dtype=q_d.dtype)
+    sc = np.asarray(s, dtype=p.dtype)
+
+    def part(lo, hi):
+        ps = p[lo:hi]
+        np.matmul(q_d[lo:hi], kt[lo:hi], out=ps)
+        ps *= sc
+        _softmax_fwd(ps, out=ps)
+
+    _split(part, p.shape[0], _batched_size(p, q_d, kt))
+    return _emit("attention_probs", (q, k), p, (q_d, kt, p, s))
+
+
+def _batched_size(p: np.ndarray, *others: np.ndarray) -> int:
+    """The size _split is given for attention's parts, each a block of whole
+    score matrices: 0, so that it never splits, for a single matrix."""
+    return max(a.size for a in (p, *others)) if p.ndim > 2 else 0
 
 
 @_vjp("attention_probs")
 def _attention_probs_bwd(rec: OpRecord, g: np.ndarray):
     q, kt, p, s = rec.ctx
     q_t, k_t = rec.inputs
-    gs = _softmax_vjp(g, p)
-    gs *= np.asarray(s, dtype=gs.dtype)
-    gq = np.matmul(gs, _swap_last(kt)) if q_t.requires_grad else None
-    gk = _swap_last(np.matmul(_swap_last(q), gs)) if k_t.requires_grad else None
-    return gq, gk
+    sc = np.asarray(s, dtype=p.dtype)
+    gq = np.empty(q.shape, dtype=p.dtype) if q_t.requires_grad else None
+    gkt = np.empty(kt.shape, dtype=p.dtype) if k_t.requires_grad else None
+
+    def part(lo, hi, buf):
+        ps = p[lo:hi]
+        gs = _softmax_vjp(g[lo:hi], ps, out=buf[: ps.size].reshape(ps.shape))
+        gs *= sc
+        if gq is not None:
+            np.matmul(gs, _swap_last(kt[lo:hi]), out=gq[lo:hi])
+        if gkt is not None:
+            np.matmul(_swap_last(q[lo:hi]), gs, out=gkt[lo:hi])
+
+    n = p.shape[0]
+    _split(part, n, _batched_size(p, q, kt), scratch=(p.dtype, p.size // max(n, 1)))
+    return gq, None if gkt is None else _swap_last(gkt)
 
 
 # ---------------------------------------------------------------------------
 # regularizers
 
 
-def _dropout_keep(mask: np.ndarray, p: float, dtype) -> np.ndarray:
-    keep = mask.astype(dtype)
-    keep /= np.asarray(1.0 - p, dtype=dtype)
-    return keep
+def _dropout_apply(mask: np.ndarray, p: float, x: np.ndarray) -> np.ndarray:
+    """x * keep, with keep = mask.astype(x.dtype) / (1 - p), in one new
+    buffer and split over the leading axis."""
+    out = np.empty(x.shape, dtype=x.dtype)
+    o1, m1, x1 = (np.atleast_1d(a) for a in (out, mask, x))
+    rate = np.asarray(1.0 - p, dtype=x.dtype)
+
+    def part(lo, hi):
+        os = o1[lo:hi]
+        np.copyto(os, m1[lo:hi])  # keep
+        os /= rate
+        os *= x1[lo:hi]  # products commute bitwise
+
+    _split(part, o1.shape[0], out.size)
+    return out
 
 
 def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
@@ -629,19 +817,18 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
         return x
     mask = np.empty(x.data.shape, dtype=bool)
     draws = np.empty(min(mask.size, _CHUNK))
-    for (ms,) in _chunks(mask):
-        d = draws[: ms.size]
+    flat = mask.reshape(-1)
+    for lo, hi in _ranges(flat.size, flat.size, _CHUNK):
+        d = draws[: hi - lo]
         rng.random(out=d)
-        np.greater_equal(d, p, out=ms)
-    out = _dropout_keep(mask, p, x.dtype)
-    np.multiply(x.data, out, out=out)
-    return _emit("dropout", (x,), out, (mask, p))
+        np.greater_equal(d, p, out=flat[lo:hi])
+    return _emit("dropout", (x,), _dropout_apply(mask, p, x.data), (mask, p))
 
 
 @_vjp("dropout")
 def _dropout_bwd(rec: OpRecord, g: np.ndarray):
     mask, p = rec.ctx
-    return (g * _dropout_keep(mask, p, g.dtype),)
+    return (_dropout_apply(mask, p, g),)
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,11 @@ def onecycle_lr(step: int, total_steps: int, max_lr: float) -> float:
 
 def predict_split(model: RuleNetModel, split_: EncodedSplit, rng=None) -> np.ndarray:
     """Raw predictions in fixed-size chunks: the deterministic eval-mode
-    pass, or with an rng a stochastic rollout drawing from it."""
+    pass, or with an rng a stochastic rollout drawing from it. No rows give
+    an empty array of the model's output shape and dtype."""
+    if split_.n_rows == 0:
+        tail = () if model.config.task == TASK_REGRESSION else (model.config.n_outputs,)
+        return np.empty((0,) + tail, dtype=model.dtype)
     mode = "eval" if rng is None else "rollout"
     outs = []
     for lo in range(0, split_.n_rows, EVAL_CHUNK):
@@ -185,6 +189,8 @@ def evaluate(model: RuleNetModel, split_: EncodedSplit, metric: str) -> float:
     check_metric(metric, model.config.task)
     if split_.target is None:
         raise ContractError("split has no target column to evaluate against")
+    if split_.n_rows == 0:
+        raise ContractError("split has no rows to evaluate")
 
     pred = predict_split(model, split_)
     if metric == METRIC_RMSE:

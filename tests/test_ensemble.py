@@ -9,6 +9,7 @@ from rulenet.ensemble import (
 from rulenet.errors import ConfigError
 
 from helpers import make_dataset, tiny_config, tiny_model
+from rulenet import data as D
 from rulenet.model import RuleNetModel
 
 
@@ -107,3 +108,21 @@ def test_forward_pass_budget():
     predict_ensemble(model, batch, k=5, seed=0)
     assert calls["n"] == 5 * point_calls
     assert point_calls == 1  # 10 rows fit one chunk
+
+
+def _no_rows(task):
+    prep, enc = make_dataset(rows=12, task=task, seed=63)
+    model = RuleNetModel.build(prep, tiny_config(prep), seed=63, dtype=np.float32)
+    header = [c.name for c in prep.schema.columns]
+    return model, D.encode(prep, D.Table.from_rows(header, []))
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_no_rows_give_empty_predictions(task):
+    model, empty = _no_rows(task)
+    assert empty.n_rows == 0
+    tail = () if task == "regression" else (model.config.n_classes,)
+    point = predict_point(model, empty)
+    assert point.shape == (0,) + tail
+    pred = predict_ensemble(model, empty, k=3, seed=1)
+    assert pred.mean.shape == (0,) + tail and pred.std.shape == (0,)

@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,11 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import rulenet.tensor as T
+from rulenet.data import take_rows
 from rulenet.errors import ConfigError, ContractError, DimensionError, IndexRangeError
+from rulenet.model import RuleNetModel
+from rulenet.training import predict_split
+from helpers import make_dataset, tiny_config
 from oracles import (
     fd_gradient,
     max_rel_err,
@@ -929,3 +934,257 @@ def test_train_steps_reuse_freed_memory():
     )
     faults = int(out.stdout.split()[-1])
     assert faults < 3000, f"{faults} minor page faults in three train steps"
+
+
+# ---------------------------------------------------------------------------
+# kernels split over helper threads (T._split): bitwise the unsplit call
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """A fresh pool of two helper threads, however many cores the process has."""
+    monkeypatch.setattr(T, "_helper_count", lambda: 2)
+    monkeypatch.setattr(T, "_POOL", None)
+    yield
+    if T._POOL:
+        T._POOL[0].shutdown(wait=True)
+
+
+def _split_into_parts(monkeypatch, run, part):
+    """run() with T._PART set to part; every split it makes must cut 3 or
+    more parts, one of them a single row (or value)."""
+    cuts = []
+    ranges = T._ranges
+
+    def spy(n, size, values):
+        out = ranges(n, size, values)
+        if values == part:
+            cuts.append(out)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(T, "_PART", part)
+        m.setattr(T, "_ranges", spy)
+        result = run()
+    assert cuts, "nothing was split"
+    for parts in cuts:
+        sizes = [hi - lo for lo, hi in parts]
+        assert len(parts) >= 3 and 1 in sizes and len(set(sizes)) > 1, sizes
+    return result
+
+
+def _unsplit(monkeypatch, run):
+    with monkeypatch.context() as m:
+        m.setattr(T, "_PART", 1 << 40)
+        return run()
+
+
+def _split_cases(rng, dtype, contiguous):
+    """(name, run, part): each run taped over 7 leading rows, or an odd count of values."""
+    view = (lambda a: a) if contiguous else (lambda a: np.swapaxes(a, 0, 1).copy().swapaxes(0, 1))
+
+    def t(*shape, grad=True):
+        return T.Tensor(view(rng.standard_normal(shape).astype(dtype)) if len(shape) > 1
+                        else rng.standard_normal(shape), requires_grad=grad, dtype=dtype)
+
+    x = t(7, 5, 9)  # 315 values
+    a, b = t(7, 5, 9), t(7, 5, 9)
+    q, k = t(7, 2, 5, 4), t(7, 2, 6, 4)
+    probs, v = t(7, 2, 5, 6), t(7, 2, 6, 4)
+    gain, bias = t(9), t(9)
+    w, wb = t(9, 3), t(3)
+    flat = t(7, 9)
+    drop_rng = lambda: np.random.default_rng(3)  # noqa: E731
+    per_row = lambda arr: 3 * arr.size // 7  # noqa: E731 -- parts of 3, 3 and 1 rows
+    return [
+        ("gelu", lambda: _taped(lambda: T.gelu(x), [x]), x.data.size // 2),  # 157, 157, 1 values
+        ("layer_norm", lambda: _taped(lambda: T.layer_norm(x, gain, bias), [x, gain, bias]),
+         per_row(x.data)),
+        ("attention_probs", lambda: _taped(lambda: T.attention_probs(q, k, 0.5), [q, k]),
+         3 * 2 * 5 * 6),
+        ("matmul", lambda: _taped(lambda: T.matmul(probs, v), [probs, v]), per_row(probs.data)),
+        ("add", lambda: _taped(lambda: T.add(a, b), [a, b]), per_row(a.data)),
+        ("linear", lambda: _taped(lambda: T.linear(flat, w, wb), [flat, w, wb]), 3 * 3),
+        ("dropout", lambda: _taped(lambda: T.dropout(x, 0.3, drop_rng()), [x]), per_row(x.data)),
+    ]
+
+
+@pytest.mark.parametrize("contiguous", [True, False], ids=["contiguous", "strided"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", range(7), ids=["gelu", "layer_norm", "attention_probs",
+                                                "matmul", "add", "linear", "dropout"])
+def test_split_kernel_matches_the_unsplit_call_bitwise(helpers, monkeypatch, case, dtype, contiguous):
+    name, run, part = _split_cases(np.random.default_rng(40 + case), dtype, contiguous)[case]
+    want = _unsplit(monkeypatch, run)
+    got = _split_into_parts(monkeypatch, run, part)
+    _assert_bitwise(got, want)
+
+
+def _model_outputs(dtype):
+    """Eval predictions, one seeded rollout and one train step's gradients of a
+    small model whose larger ops reach a few thousand values."""
+    prep, enc = make_dataset(rows=24, seed=41)
+    cfg = tiny_config(prep, n_rules=6, embed_dim=16, hidden_dim=32, n_heads=2,
+                      mask_rate=0.2, rule_mask_rate=0.2, transformer_dropout=0.1, head_dropout=0.1)
+    model = RuleNetModel.build(prep, cfg, seed=41, dtype=dtype)
+    batch = take_rows(enc, np.arange(enc.n_rows))
+    outputs = [predict_split(model, batch), predict_split(model, batch, np.random.default_rng(5))]
+    with T.Tape() as tape:
+        loss = T.mean_all(model.forward(batch, "train", rng=np.random.default_rng(6)))
+    T.backward(tape, loss)
+    outputs += [t.grad for t in model.named_parameters().values()]
+    return outputs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_model_outputs_with_split_kernels_match_the_unsplit_ones_bitwise(helpers, monkeypatch, dtype):
+    want = _unsplit(monkeypatch, lambda: _model_outputs(dtype))
+    splits = []
+    split = T._split
+
+    def spy(body, n, size, *args, **kwargs):
+        if size >= 2 * T._PART:
+            splits.append(len(T._ranges(n, size, T._PART)))
+        return split(body, n, size, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(T, "_PART", 256)
+        m.setattr(T, "_split", spy)
+        got = _model_outputs(dtype)
+    assert len(splits) > 20 and min(splits) >= 3
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the helper pool's contract
+
+
+def _overflow_in_a_helper(monkeypatch, out):
+    """Split out = x * 1e30 into 2 parts, of which only the second overflows.
+    The caller's part waits until a helper has started that one; returns the
+    thread that ran it."""
+    x = np.ones(out.size, dtype=np.float32)
+    x[out.size // 2 :] = 1e30
+    started, who = threading.Event(), {}
+
+    def body(lo, hi):
+        if lo == 0:
+            assert started.wait(timeout=30)
+        else:
+            who[lo] = threading.get_ident()
+            started.set()
+        np.multiply(x[lo:hi], np.float32(1e30), out=out[lo:hi])
+
+    monkeypatch.setattr(T, "_PART", out.size // 2)
+    try:
+        T._split(body, out.size, out.size)
+    finally:
+        assert list(who) == [out.size // 2] and who[out.size // 2] != threading.get_ident()
+    return who
+
+
+def test_a_helper_part_keeps_the_callers_errstate(helpers, monkeypatch):
+    out = np.empty(64, dtype=np.float32)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        _overflow_in_a_helper(monkeypatch, out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning in the helper would fail its part
+        with np.errstate(over="ignore"):
+            _overflow_in_a_helper(monkeypatch, out)
+    assert np.isinf(out[32:]).all() and np.isfinite(out[:32]).all()
+
+
+def test_two_threads_splitting_at_once_finish_and_match_serial_calls(helpers, monkeypatch):
+    rng = np.random.default_rng(42)
+    xs = [T.Tensor(rng.standard_normal((64, 8, 33)), dtype=np.float32) for _ in range(2)]
+    gain, bias = T.Tensor(np.ones(33), dtype=np.float32), T.Tensor(np.zeros(33), dtype=np.float32)
+
+    def calls(x):
+        return [T.gelu(x).data, T.layer_norm(x, gain, bias).data]
+
+    serial = _unsplit(monkeypatch, lambda: [calls(x) for x in xs])
+    monkeypatch.setattr(T, "_PART", 1000)  # some 17 parts a call
+    results = [[], []]
+    start = threading.Barrier(2, timeout=30)
+
+    def work(i):
+        start.wait()
+        for _ in range(20):
+            results[i].append(calls(xs[i]))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for want, got in zip(serial, results):
+        assert len(got) == 20
+        for outs in got:
+            assert all(np.array_equal(a, b) for a, b in zip(outs, want, strict=True))
+
+
+def test_a_failed_part_raises_in_the_caller_once_every_part_has_finished(helpers, monkeypatch):
+    monkeypatch.setattr(T, "_PART", 1)
+    running, done = set(), []
+    lock = threading.Lock()
+    slow_started = threading.Event()
+
+    def body(lo, hi):
+        with lock:
+            running.add(lo)
+        try:
+            if lo == 1:  # a helper's first part: still running when the caller's fails
+                slow_started.set()
+                threading.Event().wait(0.3)
+            if lo == 0:
+                assert slow_started.wait(timeout=30)
+                raise ValueError("part 0 failed")
+        finally:
+            with lock:
+                running.discard(lo)
+                done.append(lo)
+
+    with pytest.raises(ValueError, match="part 0 failed"):
+        T._split(body, 8, 8)
+    assert not running and 1 in done
+
+
+def test_a_child_forked_after_the_pool_started_can_still_split(helpers, monkeypatch):
+    if not hasattr(os, "fork"):
+        pytest.skip("no fork on this platform")
+    monkeypatch.setattr(T, "_PART", 1000)
+    x = T.Tensor(np.random.default_rng(43).standard_normal((64, 8, 33)), dtype=np.float32)
+    want = T.gelu(x).data
+    assert T._POOL  # started by that split
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: split, report, and leave without running pytest's teardown
+        code = 1
+        try:
+            code = 0 if np.array_equal(T.gelu(x).data, want) and T._POOL else 2
+        finally:
+            os.write(write, bytes([code]))
+            os._exit(code)
+    os.close(write)
+    deadline = threading.Event()
+    code = b""
+    for _ in range(600):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        deadline.wait(0.1)
+    else:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish its split")
+    code = os.read(read, 1)
+    os.close(read)
+    assert code == b"\x00" and os.waitstatus_to_exitcode(status) == 0

@@ -281,6 +281,16 @@ def test_evaluate_rejects_metric_task_mismatch():
         evaluate(model, batch, "r2")
 
 
+def test_evaluate_rejects_a_split_of_no_rows():
+    prep, enc = make_dataset(rows=12, seed=64)
+    model = RuleNetModel.build(prep, tiny_config(prep), seed=64)
+    empty = take_rows(enc, np.arange(0))
+    assert empty.n_rows == 0 and empty.target is not None
+    assert predict_split(model, empty).shape == (0,)
+    with pytest.raises(ContractError, match="no rows"):
+        evaluate(model, empty, "rmse")
+
+
 def test_evaluate_requires_targets():
     model, batch = tiny_model(seed=44)
     batch = type(batch)(batch.numeric, batch.numeric_missing, batch.categorical, None, batch.n_rows)
@@ -427,7 +437,7 @@ def _three_epochs(tmp_path, name, dtype):
 @pytest.mark.parametrize("name", sorted(_DRIFT_TABLES))
 def test_float32_phi_drifts_from_exact_ndtr_within_bounds(tmp_path, monkeypatch, name):
     metric, pred = _three_epochs(tmp_path, name, np.float32)
-    monkeypatch.setattr(T, "_phi_float32", ndtr)
+    monkeypatch.setattr(T, "_phi_float32", lambda x, out, z, z2: ndtr(x, out=out))
     metric_ndtr, pred_ndtr = _three_epochs(tmp_path, name, np.float32)
     assert not np.array_equal(pred, pred_ndtr)  # the patch took effect
     # measured: 4.4e-8 and 0 relative, 1.2e-6 and 2.3e-7 absolute
