@@ -190,7 +190,8 @@ def _ranges(n: int, size: int, values: int) -> list:
     return [(lo, min(lo + step, n)) for lo in range(0, max(1, n), step)]
 
 
-def _split(body: Callable, n: int, size: int, block: Optional[int] = None, scratch=None) -> None:
+def _split(body: Callable, n: int, size: int, block: Optional[int] = None, scratch=None,
+           beside: Optional[Callable] = None) -> None:
     """Run body(lo, hi) over contiguous ranges ("parts") covering range(n).
 
     n is the length of the axis split, an op's leading or flat axis, and
@@ -201,7 +202,8 @@ def _split(body: Callable, n: int, size: int, block: Optional[int] = None, scrat
     each part no helper has started, so it never waits behind another
     caller's parts and concurrent callers cannot deadlock. Otherwise body
     runs inline, once or, with `block`, over ranges of about that many
-    values.
+    values. `beside()`, if given, is one more part: queued ahead of the
+    others, or run inline before them.
 
     A body must give each output value the same ops wherever its part
     starts, so the result is bitwise the same however the range is cut. A
@@ -213,6 +215,15 @@ def _split(body: Callable, n: int, size: int, block: Optional[int] = None, scrat
     of at least (hi - lo) rows that no other running part holds. The first
     exception of a part is raised, once no part is running.
     """
+    if (n < 2 or size < 2 * _PART) and (block is None or size <= block):
+        # one part: no ranges, scratch list or wrapper to build
+        if beside is not None:
+            beside()
+        if scratch is None:
+            body(0, n)
+        else:
+            body(0, n, np.empty(n * scratch[1], dtype=scratch[0]))
+        return
     pool = _helpers() if n > 1 and size >= 2 * _PART else False
     parts = _ranges(n, size, _PART if pool else block or size)
     if scratch is not None:
@@ -229,21 +240,25 @@ def _split(body: Callable, n: int, size: int, block: Optional[int] = None, scrat
                 free.append(buf)
 
     if not pool:
+        if beside is not None:
+            beside()
         for lo, hi in parts:
             body(lo, hi)
         return
-    futures = [pool[0].submit(contextvars.copy_context().run, body, lo, hi) for lo, hi in parts[1:]]
+    jobs = [] if beside is None else [(beside,)]
+    jobs += [(body, lo, hi) for lo, hi in parts[1:]]
+    futures = [pool[0].submit(contextvars.copy_context().run, *job) for job in jobs]
     errors = []
     try:
         body(*parts[0])
     except BaseException as e:  # re-raised below, once no part still writes
         errors.append(e)
     # the helpers take parts from the front; take back from the end
-    for fut, part in zip(reversed(futures), reversed(parts[1:])):
+    for fut, job in zip(reversed(futures), reversed(jobs)):
         if fut.cancel():
             if not errors:
                 try:
-                    body(*part)
+                    job[0](*job[1:])
                 except BaseException as e:
                     errors.append(e)
         elif fut.exception() is not None:  # waits for the part to finish
@@ -516,8 +531,24 @@ def _matmul_bwd(rec: OpRecord, g: np.ndarray):
     return ga, gb
 
 
+# A GEMM cut into row parts gives each output row the bits of the whole call
+# only if every part starts where the BLAS kernel starts a row tile, and no
+# part is a short tail (one row takes gemv). 192 = 8 * 24 is a multiple of
+# the row tile of OpenBLAS's SkylakeX, Haswell and SandyBridge kernels, in
+# float32 and float64 (64 is not: Haswell's float32 tile is 24 rows).
+# Outputs narrower than _GEMM_MIN_COLS took other bits in some cut parts,
+# so they are never cut.
+_GEMM_ROWS = 192
+_GEMM_MIN_COLS = 16
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b on the last axis of x, as one GEMM over the collapsed leading axes."""
+    """x @ w + b on the last axis of x, as a GEMM over the collapsed leading axes.
+
+    The GEMM is split (see _split) into parts of whole blocks of _GEMM_ROWS
+    rows, the last block taking the remainder; each part adds the bias to
+    its own rows.
+    """
     if w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
         raise DimensionError(
             f"linear: weight must be [in, out] and bias [out], got {w.data.shape} and {b.data.shape}"
@@ -527,21 +558,43 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(x, w, "linear")
     _check_same_dtype(x, b, "linear")
     flat = x.data.reshape(-1, w.data.shape[0])
-    out = np.matmul(flat, w.data)
-    _split(lambda lo, hi: np.add(out[lo:hi], b.data, out=out[lo:hi]), out.shape[0], out.size)
+    rows, cols = flat.shape[0], w.data.shape[1]
+    out = np.empty((rows, cols), dtype=x.dtype)
+    blocks = rows // _GEMM_ROWS
+
+    def part(lo, hi):
+        lo, hi = lo * _GEMM_ROWS, rows if hi == blocks else hi * _GEMM_ROWS
+        os = out[lo:hi]
+        np.matmul(flat[lo:hi], w.data, out=os)
+        np.add(os, b.data, out=os)
+
+    _split(part, blocks, max(flat.size, out.size) if cols >= _GEMM_MIN_COLS else 0)
     out = out.reshape(x.data.shape[:-1] + w.data.shape[1:])
     return _emit("linear", (x, w, b), out, (flat, w.data))
 
 
 @_vjp("linear")
 def _linear_bwd(rec: OpRecord, g: np.ndarray):
+    """gx = g @ w^T as one part, gw = flat^T @ g and the bias sum as the
+    other (see _split): the calls of the unsplit VJP, side by side."""
     flat, w = rec.ctx
     x, w_t, b_t = rec.inputs
     g = g.reshape(flat.shape[0], w.shape[1])
-    gx = np.matmul(g, _swap_last(w)).reshape(x.data.shape) if x.requires_grad else None
-    gw = np.matmul(_swap_last(flat), g) if w_t.requires_grad else None
-    gb = g.sum(axis=0) if b_t.requires_grad else None
-    return gx, gw, gb
+    gx = np.empty(flat.shape, dtype=g.dtype) if x.requires_grad else None
+    gw = np.empty(w.shape, dtype=g.dtype) if w_t.requires_grad else None
+    gb = np.empty(w.shape[1:], dtype=g.dtype) if b_t.requires_grad else None
+
+    def weights():
+        if gw is not None:
+            np.matmul(_swap_last(flat), g, out=gw)
+        if gb is not None:
+            np.sum(g, axis=0, out=gb)
+
+    jobs = [] if gx is None else [lambda: np.matmul(g, _swap_last(w), out=gx)]
+    if gw is not None or gb is not None:
+        jobs.append(weights)
+    _split(lambda lo, hi: [job() for job in jobs[lo:hi]], len(jobs), max(flat.size, g.size))
+    return None if gx is None else gx.reshape(x.data.shape), gw, gb
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +731,15 @@ def _layer_norm_bwd(rec: OpRecord, g: np.ndarray):
     x, gain_t, bias_t = rec.inputs
     width = y.shape[-1]
     g2, y2, inv2 = (np.atleast_2d(a) for a in (g, y, inv))
-    ggain = _column_sums(g2, y2) if gain_t.requires_grad else None
+    ggain = gbias = None
+
+    def sums():  # a part beside gx's
+        nonlocal ggain, gbias
+        if gain_t.requires_grad:
+            ggain = _column_sums(g2, y2)
+        if bias_t.requires_grad:
+            gbias = g.reshape(-1, width).sum(axis=0)
+
     # inv * (dy - mean(dy) - y * mean(dy * y)) with dy = g * gain, means over
     # the last axis: d/dx of (x - mu) / sqrt(var + eps)
     gx = np.empty(y.shape, dtype=y.dtype)
@@ -694,8 +755,7 @@ def _layer_norm_bwd(rec: OpRecord, g: np.ndarray):
         dx *= inv2[lo:hi]
 
     n = gx2.shape[0]
-    _split(part, n, gx2.size, _CHUNK, (y.dtype, gx2.size // max(n, 1)))
-    gbias = g.reshape(-1, width).sum(axis=0) if bias_t.requires_grad else None
+    _split(part, n, gx2.size, _CHUNK, (y.dtype, gx2.size // max(n, 1)), beside=sums)
     return gx, ggain, gbias
 
 

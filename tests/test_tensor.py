@@ -950,9 +950,10 @@ def helpers(monkeypatch):
         T._POOL[0].shutdown(wait=True)
 
 
-def _split_into_parts(monkeypatch, run, part):
+def _split_into_parts(monkeypatch, run, part, two_way=0):
     """run() with T._PART set to part; every split it makes must cut 3 or
-    more parts, one of them a single row (or value)."""
+    more parts, one of them a single row (or value, or block of rows), but
+    for `two_way` splits into the two parts (0, 1) and (1, 2)."""
     cuts = []
     ranges = T._ranges
 
@@ -967,9 +968,10 @@ def _split_into_parts(monkeypatch, run, part):
         m.setattr(T, "_ranges", spy)
         result = run()
     assert cuts, "nothing was split"
+    assert sum(parts == [(0, 1), (1, 2)] for parts in cuts) == two_way, cuts
     for parts in cuts:
         sizes = [hi - lo for lo, hi in parts]
-        assert len(parts) >= 3 and 1 in sizes and len(set(sizes)) > 1, sizes
+        assert parts == [(0, 1), (1, 2)] or len(parts) >= 3 and 1 in sizes and len(set(sizes)) > 1, sizes
     return result
 
 
@@ -980,7 +982,8 @@ def _unsplit(monkeypatch, run):
 
 
 def _split_cases(rng, dtype, contiguous):
-    """(name, run, part): each run taped over 7 leading rows, or an odd count of values."""
+    """(name, run, part): each run taped over 7 leading rows, an odd count of
+    values or, for linear, 5 blocks of rows."""
     view = (lambda a: a) if contiguous else (lambda a: np.swapaxes(a, 0, 1).copy().swapaxes(0, 1))
 
     def t(*shape, grad=True):
@@ -992,8 +995,8 @@ def _split_cases(rng, dtype, contiguous):
     q, k = t(7, 2, 5, 4), t(7, 2, 6, 4)
     probs, v = t(7, 2, 5, 6), t(7, 2, 6, 4)
     gain, bias = t(9), t(9)
-    w, wb = t(9, 3), t(3)
-    flat = t(7, 9)
+    w, wb = t(9, 16), t(16)
+    flat = t(5 * T._GEMM_ROWS + 7, 9)  # 5 blocks, the last of 199 rows
     drop_rng = lambda: np.random.default_rng(3)  # noqa: E731
     per_row = lambda arr: 3 * arr.size // 7  # noqa: E731 -- parts of 3, 3 and 1 rows
     return [
@@ -1004,7 +1007,8 @@ def _split_cases(rng, dtype, contiguous):
          3 * 2 * 5 * 6),
         ("matmul", lambda: _taped(lambda: T.matmul(probs, v), [probs, v]), per_row(probs.data)),
         ("add", lambda: _taped(lambda: T.add(a, b), [a, b]), per_row(a.data)),
-        ("linear", lambda: _taped(lambda: T.linear(flat, w, wb), [flat, w, wb]), 3 * 3),
+        ("linear", lambda: _taped(lambda: T.linear(flat, w, wb), [flat, w, wb]),
+         flat.data.shape[0] * 16 // 2),  # parts of 2, 2 and 1 blocks
         ("dropout", lambda: _taped(lambda: T.dropout(x, 0.3, drop_rng()), [x]), per_row(x.data)),
     ]
 
@@ -1016,7 +1020,7 @@ def _split_cases(rng, dtype, contiguous):
 def test_split_kernel_matches_the_unsplit_call_bitwise(helpers, monkeypatch, case, dtype, contiguous):
     name, run, part = _split_cases(np.random.default_rng(40 + case), dtype, contiguous)[case]
     want = _unsplit(monkeypatch, run)
-    got = _split_into_parts(monkeypatch, run, part)
+    got = _split_into_parts(monkeypatch, run, part, two_way=int(name == "linear"))
     _assert_bitwise(got, want)
 
 
@@ -1043,22 +1047,105 @@ def test_model_outputs_with_split_kernels_match_the_unsplit_ones_bitwise(helpers
     split = T._split
 
     def spy(body, n, size, *args, **kwargs):
-        if size >= 2 * T._PART:
-            splits.append(len(T._ranges(n, size, T._PART)))
+        if n > 1 and size >= 2 * T._PART:
+            splits.append((body.__qualname__.split(".")[0], len(T._ranges(n, size, T._PART))))
         return split(body, n, size, *args, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(T, "_PART", 256)
         m.setattr(T, "_split", spy)
         got = _model_outputs(dtype)
-    assert len(splits) > 20 and min(splits) >= 3
+    # linear's VJP always splits in two: its two GEMMs side by side
+    counts = [k for op, k in splits if op != "_linear_bwd"]
+    assert len(counts) > 20 and min(counts) >= 3
+    assert sorted({k for op, k in splits if op == "_linear_bwd"}) == [2]
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+# eleven row counts from 4096 to 16447, and two of 192 * k + 1 rows, whose
+# last block holds 193
+_LINEAR_ROWS = (4096, 4097, 4417, 4999, 6143, 7001, 8192, 9985, 11519, 12289, 13313, 15000, 16447)
+
+
+def _linear_and_vjp(x, w, b, g):
+    """linear's output and its VJP of g, without further ops on the tape."""
+    with T.Tape() as tape:
+        out = T.linear(x, w, b)
+    return [out.data, *T._BACKWARD["linear"](tape.entries[-1], g)]
+
+
+@pytest.mark.parametrize("n_out", [1, 3, 16, 48, 64, 256])
+@pytest.mark.parametrize("n_in", [8, 16, 64, 256])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_split_on_row_blocks_matches_the_serial_call_bitwise(helpers, monkeypatch, dtype,
+                                                                     n_in, n_out):
+    rng = np.random.default_rng(n_in * 1000 + n_out)
+    xs = rng.standard_normal((_LINEAR_ROWS[-1], n_in)).astype(dtype)
+    gs = rng.standard_normal((_LINEAR_ROWS[-1], n_out)).astype(dtype)
+    w = T.Tensor(rng.standard_normal((n_in, n_out)), requires_grad=True, dtype=dtype)
+    b = T.Tensor(rng.standard_normal(n_out), requires_grad=True, dtype=dtype)
+    ranges, matmul = T._ranges, np.matmul
+    cut, calls = {}, []
+
+    def even_parts(n, size, values):  # the blocks of rows in cut["parts"] even parts
+        if n != cut.get("blocks"):
+            return ranges(n, size, values)
+        return [(i * n // cut["parts"], (i + 1) * n // cut["parts"]) for i in range(cut["parts"])]
+
+    def spy(a, b_, *args, **kwargs):  # the forward's GEMMs: (first row, rows)
+        if b_ is w.data:
+            calls.append(((a.ctypes.data - xs.ctypes.data) // xs.strides[0], a.shape[0]))
+        return matmul(a, b_, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    for rows in _LINEAR_ROWS:
+        x = T.Tensor(xs[:rows], requires_grad=True)
+        want = _unsplit(monkeypatch, lambda: _linear_and_vjp(x, w, b, gs[:rows]))
+        for parts in (2, 3, 5):
+            calls.clear()
+            cut.update(blocks=rows // T._GEMM_ROWS, parts=parts)
+            with monkeypatch.context() as m:
+                m.setattr(T, "_PART", 1)
+                m.setattr(T, "_ranges", even_parts)
+                got = _linear_and_vjp(x, w, b, gs[:rows])
+            for a, ref in zip(got, want, strict=True):
+                assert a.dtype == ref.dtype and np.array_equal(a, ref), (rows, parts)
+            calls.sort()
+            assert [lo for lo, _ in calls] == list(np.cumsum([0] + [k for _, k in calls[:-1]]))
+            assert sum(k for _, k in calls) == rows
+            if n_out < T._GEMM_MIN_COLS:
+                assert calls == [(0, rows)]
+                continue
+            assert len(calls) == parts
+            assert all(lo % T._GEMM_ROWS == 0 and k >= T._GEMM_ROWS for lo, k in calls), calls
+
+
 # ---------------------------------------------------------------------------
 # the helper pool's contract
+
+
+def test_ops_too_small_to_split_run_one_part_without_building_ranges(helpers, monkeypatch):
+    rng = np.random.default_rng(44)
+    x = T.Tensor(rng.standard_normal((4, 6, 8)), requires_grad=True, dtype=np.float32)
+    gain, bias = (T.Tensor(rng.standard_normal(8), requires_grad=True, dtype=np.float32) for _ in range(2))
+    w = T.Tensor(rng.standard_normal((8, 16)), requires_grad=True, dtype=np.float32)
+    b = T.Tensor(rng.standard_normal(16), requires_grad=True, dtype=np.float32)
+
+    def run():
+        return _taped(lambda: T.linear(T.gelu(T.layer_norm(x, gain, bias)), w, b), [x, gain, bias, w, b])
+
+    want = run()
+    ranges = T._ranges
+
+    def spy(*args):  # _column_sums blocks its rows with _ranges too
+        assert sys._getframe(1).f_code.co_name != "_split", f"_split built _ranges{args}"
+        return ranges(*args)
+
+    monkeypatch.setattr(T, "_ranges", spy)
+    _assert_bitwise(run(), want)
+    assert T._POOL is None  # no op started the helpers
 
 
 def _overflow_in_a_helper(monkeypatch, out):
@@ -1098,13 +1185,18 @@ def test_a_helper_part_keeps_the_callers_errstate(helpers, monkeypatch):
 
 def test_two_threads_splitting_at_once_finish_and_match_serial_calls(helpers, monkeypatch):
     rng = np.random.default_rng(42)
-    xs = [T.Tensor(rng.standard_normal((64, 8, 33)), dtype=np.float32) for _ in range(2)]
+    xs = [T.Tensor(rng.standard_normal((64, 8, 33)), requires_grad=True, dtype=np.float32) for _ in range(2)]
     gain, bias = T.Tensor(np.ones(33), dtype=np.float32), T.Tensor(np.zeros(33), dtype=np.float32)
+    # linear's forward (2 parts of 192 and 320 rows) and its VJP, on leaves of each thread's own
+    ws = [T.Tensor(rng.standard_normal((33, 48)), requires_grad=True, dtype=np.float32) for _ in range(2)]
+    bs = [T.Tensor(rng.standard_normal(48), requires_grad=True, dtype=np.float32) for _ in range(2)]
+    g = rng.standard_normal((64, 8, 48)).astype(np.float32)
 
-    def calls(x):
-        return [T.gelu(x).data, T.layer_norm(x, gain, bias).data]
+    def calls(i):
+        x = xs[i]
+        return [T.gelu(x).data, T.layer_norm(x, gain, bias).data, *_linear_and_vjp(x, ws[i], bs[i], g)]
 
-    serial = _unsplit(monkeypatch, lambda: [calls(x) for x in xs])
+    serial = _unsplit(monkeypatch, lambda: [calls(i) for i in range(2)])
     monkeypatch.setattr(T, "_PART", 1000)  # some 17 parts a call
     results = [[], []]
     start = threading.Barrier(2, timeout=30)
@@ -1112,7 +1204,7 @@ def test_two_threads_splitting_at_once_finish_and_match_serial_calls(helpers, mo
     def work(i):
         start.wait()
         for _ in range(20):
-            results[i].append(calls(xs[i]))
+            results[i].append(calls(i))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
