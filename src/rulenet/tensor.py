@@ -8,8 +8,8 @@ accumulating vector-Jacobian products into leaf gradients.
 Only the operations the model actually needs are implemented. Two of them
 are fused: `linear` (matmul plus bias over the collapsed leading axes) and
 `attention_probs` (softmax of scaled query-key scores). Each computes the
-same bits as the chain of primitives it replaces, but keeps one tape record
-and one buffer where the chain kept several. Everything runs in a single
+same bits as the chain of ops it replaces, but keeps one tape record and
+one buffer where the chain kept several. Everything runs in a single
 dtype per graph (float32 by default; float64 is used for gradient
 verification), and mixing dtypes raises instead of silently upcasting.
 """
@@ -140,9 +140,9 @@ _BACKWARD: dict[str, Callable] = {}
 # ---------------------------------------------------------------------------
 # splitting a kernel over the cores the process may run on
 
-# values per pass of a cache-blocked kernel run inline (gelu, layer_norm,
-# their VJPs and dropout's draws): the handful of block-sized arrays a pass
-# touches, 128 KiB each in float32, stay in a core's L2 cache
+# values per block of dropout's draws and of _column_sums: a block's arrays,
+# 128 KiB each in float32, stay in a core's L2 cache (one unblocked reduce
+# of _column_sums ran 1.1-1.5x slower at [256, 64, 64])
 _CHUNK = 1 << 15
 # values per part of a kernel split over threads: each numpy call of a part
 # covers up to this many, so that handing the GIL from thread to thread costs
@@ -190,20 +190,19 @@ def _ranges(n: int, size: int, values: int) -> list:
     return [(lo, min(lo + step, n)) for lo in range(0, max(1, n), step)]
 
 
-def _split(body: Callable, n: int, size: int, block: Optional[int] = None, scratch=None,
-           beside: Optional[Callable] = None) -> None:
+def _split(body: Callable, n: int, size: int, scratch=None, beside: Optional[Callable] = None) -> None:
     """Run body(lo, hi) over contiguous ranges ("parts") covering range(n).
 
     n is the length of the axis split, an op's leading or flat axis, and
     size the value count of the op's largest array. When that holds two
-    parts of _PART values or more and the process may run on more than one
-    core, the parts go to a pool of helper threads, one per further core,
-    started at the first such call. The caller runs the first part, then
-    each part no helper has started, so it never waits behind another
-    caller's parts and concurrent callers cannot deadlock. Otherwise body
-    runs inline, once or, with `block`, over ranges of about that many
-    values. `beside()`, if given, is one more part: queued ahead of the
-    others, or run inline before them.
+    parts of _PART values or more, range(n) is cut into parts of about
+    _PART values; otherwise body(0, n) runs once. If the process may run
+    on more than one core, the parts go to a pool of helper threads, one
+    per further core, started at the first such call. The caller runs the
+    first part, then each part no helper has started, so it never waits
+    behind another caller's parts and concurrent callers cannot deadlock.
+    On one core the caller runs every part itself. `beside()`, if given, is
+    one more part: queued ahead of the others, or run inline before them.
 
     A body must give each output value the same ops wherever its part
     starts, so the result is bitwise the same however the range is cut. A
@@ -215,7 +214,7 @@ def _split(body: Callable, n: int, size: int, block: Optional[int] = None, scrat
     of at least (hi - lo) rows that no other running part holds. The first
     exception of a part is raised, once no part is running.
     """
-    if (n < 2 or size < 2 * _PART) and (block is None or size <= block):
+    if n < 2 or size < 2 * _PART:
         # one part: no ranges, scratch list or wrapper to build
         if beside is not None:
             beside()
@@ -224,8 +223,8 @@ def _split(body: Callable, n: int, size: int, block: Optional[int] = None, scrat
         else:
             body(0, n, np.empty(n * scratch[1], dtype=scratch[0]))
         return
-    pool = _helpers() if n > 1 and size >= 2 * _PART else False
-    parts = _ranges(n, size, _PART if pool else block or size)
+    pool = _helpers()
+    parts = _ranges(n, size, _PART)
     if scratch is not None:
         dtype, row = scratch
         width = (parts[0][1] - parts[0][0]) * row
@@ -423,8 +422,7 @@ def gelu(x: Tensor) -> Tensor:
     `ndtr`; float32 takes the rational `_phi_float32`. Phi is kept for the
     VJP, g * (Phi + x * pdf(x)) with the exact pdf. So in float32 the VJP is
     not the exact derivative of the forward, whose Phi is approximate. Both
-    run over the flat values, split (see _split) or a cache-sized block at
-    a time.
+    run over the flat values, in parts (see _split).
     """
     phi = np.empty(x.data.shape, dtype=x.dtype)
     out = np.empty(x.data.shape, dtype=x.dtype)
@@ -439,7 +437,7 @@ def gelu(x: Tensor) -> Tensor:
         np.multiply(xs, ps, out=os)
 
     f32 = x.data.dtype == np.float32
-    _split(part, out.size, out.size, _CHUNK, (np.float32, 1) if f32 else None)
+    _split(part, out.size, out.size, (np.float32, 1) if f32 else None)
     return _emit("gelu", (x,), out, (x.data, phi))
 
 
@@ -462,7 +460,7 @@ def _gelu_bwd(rec: OpRecord, g: np.ndarray):
         ds += pf[lo:hi]
         ds *= gf[lo:hi]
 
-    _split(part, d.size, d.size, _CHUNK)
+    _split(part, d.size, d.size)
     return (d,)
 
 
@@ -661,24 +659,6 @@ def _softmax_vjp(g: np.ndarray, s: np.ndarray, out: Optional[np.ndarray] = None)
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax of x over axis.
-
-    With axis moved to the end, the shift is taken per matrix over the last
-    two axes (see _softmax_shift): a vector's bits are independent of other
-    batch rows only if no axis of rows is among those two.
-    """
-    s = np.moveaxis(_softmax_fwd(np.moveaxis(x.data, axis, -1)), -1, axis)
-    return _emit("softmax", (x,), s, (s, axis))
-
-
-@_vjp("softmax")
-def _softmax_bwd(rec: OpRecord, g: np.ndarray):
-    s, axis = rec.ctx
-    gx = _softmax_vjp(np.moveaxis(g, axis, -1), np.moveaxis(s, axis, -1))
-    return (np.moveaxis(gx, -1, axis),)
-
-
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     z = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
@@ -695,9 +675,9 @@ def _log_softmax_bwd(rec: OpRecord, g: np.ndarray):
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """(x - mean) / sqrt(var + eps) * gain + bias over the last axis.
 
-    Computed in place over blocks of rows of the leading axis, split (see
-    _split) or cache-sized, with the ops of the unblocked formula in its
-    order, so the bits do not depend on the blocking. The mean and the
+    Computed in place over parts of the leading axis (see _split), with
+    the ops of the unsplit formula in its order, so the bits do not depend
+    on the cut. The mean and the
     variance are row sums (_row_sum) divided by the width.
     """
     if x.data.shape[-1] < 1:
@@ -721,7 +701,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         np.multiply(ys, gain.data, out=os)
         os += bias.data
 
-    _split(part, x2.shape[0], x2.size, _CHUNK)
+    _split(part, x2.shape[0], x2.size)
     return _emit("layer_norm", (x, gain, bias), out, (y, inv, gain.data))
 
 
@@ -755,7 +735,7 @@ def _layer_norm_bwd(rec: OpRecord, g: np.ndarray):
         dx *= inv2[lo:hi]
 
     n = gx2.shape[0]
-    _split(part, n, gx2.size, _CHUNK, (y.dtype, gx2.size // max(n, 1)), beside=sums)
+    _split(part, n, gx2.size, (y.dtype, gx2.size // max(n, 1)), beside=sums)
     return gx, ggain, gbias
 
 
@@ -785,9 +765,9 @@ def _column_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def attention_probs(q: Tensor, k: Tensor, scale: float) -> Tensor:
     """softmax(scale * q @ k^T) over the last axis, built in one buffer.
 
-    Bitwise equal to softmax(scale(matmul(q, transpose(k)))), but the raw
-    and the scaled scores are never kept: the VJP needs only q, k^T and the
-    probabilities.
+    Bitwise equal to _softmax_fwd over scale(matmul(q, transpose(k))), but
+    the raw and the scaled scores are never kept: the VJP needs only q, k^T
+    and the probabilities.
     """
     if q.data.ndim < 2 or k.data.ndim != q.data.ndim or k.data.shape[:-2] != q.data.shape[:-2]:
         raise DimensionError(

@@ -14,7 +14,9 @@ sums from einsum. The numpy row statistics (add.reduce sums and a max per
 query) are what rulenet.tensor used before its einsum row sums and its
 shift per score matrix. The per-row decoder runs layer 0 on rule tokens broadcast to every
 row, the way RuleNetModel.decoder_forward did before that layer took the
-shared [N, e] tokens.
+shared [N, e] tokens. `softmax` is a taped softmax op for the unfused
+chain that attention_probs is checked against: it runs rulenet.tensor's own
+softmax kernels and registers its VJP with the library's, as "softmax".
 """
 
 from __future__ import annotations
@@ -334,6 +336,28 @@ def ref_layer_norm(x, gain, bias, g, eps=1e-5, row_sum=einsum_row_sum) -> tuple:
     ggain = (g * y).reshape(-1, y.shape[-1]).sum(axis=0)
     gbias = g.reshape(-1, g.shape[-1]).sum(axis=0)
     return out, gx, ggain, gbias
+
+
+# ---------------------------------------------------------------------------
+# softmax as a taped op: the chain attention_probs fuses ends in it
+
+
+def softmax(x: T.Tensor, axis: int = -1) -> T.Tensor:
+    """Softmax of x over axis, with rulenet.tensor's own kernels.
+
+    With axis moved to the end, the shift is taken per matrix over the last
+    two axes (see T._softmax_shift): a vector's bits are independent of
+    other batch rows only if no axis of rows is among those two.
+    """
+    s = np.moveaxis(T._softmax_fwd(np.moveaxis(x.data, axis, -1)), -1, axis)
+    return T._emit("softmax", (x,), s, (s, axis))
+
+
+@T._vjp("softmax")
+def _softmax_bwd(rec: T.OpRecord, g: np.ndarray):
+    s, axis = rec.ctx
+    gx = T._softmax_vjp(np.moveaxis(g, axis, -1), np.moveaxis(s, axis, -1))
+    return (np.moveaxis(gx, -1, axis),)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import ctypes
+import glob
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -327,14 +330,41 @@ _GRID_ROWS = (1, 7, 32)
 _GRID_FEATURES = (1, 8, 128)
 
 
+def _blas_kernel() -> str:
+    """The name of the kernel numpy's OpenBLAS runs, as it reports it."""
+    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename"):
+            corename = getattr(ctypes.CDLL(lib), name, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return os.environ.get("OPENBLAS_CORETYPE", "an unnamed BLAS kernel")
+
+
+def _projections_match(layer, rules, rows) -> bool:
+    """Whether layer 0's projections of the [N, e] rule tokens give each
+    token the bits it gets in the per-row path's [rows * N, e] projections.
+    A GEMM may give a row bits that depend on where the row sits in the
+    call (OpenBLAS's Haswell float32 kernel: its position mod 12), and a
+    single row takes gemv."""
+    h = layer.norm_attn(rules)
+    h_rows = layer.norm_attn(T.broadcast_rows(rules, rows))
+    return all(
+        np.array_equal(np.broadcast_to(proj(h).data, (rows, *h.shape)), proj(h_rows).data)
+        for proj in (layer.wq, layer.wk, layer.wv)
+    )
+
+
 @pytest.mark.parametrize("embed_dim", [16, 64, 256])
 @pytest.mark.parametrize("n_rules", [1, 2, 7, 16, 64, 256])
 def test_layer0_shared_rule_side_matches_the_per_row_path(n_rules, embed_dim):
     """A seeded float32 rollout of layer 0 on the [N, e] rule tokens gives
     the bits of the same layer on those tokens broadcast to every row, for
-    rows x M over the grid. The one exception is N = 1 with more than one
-    row: numpy projects a single token with gemv, not gemm, so there the two
-    paths may differ, within a bound."""
+    rows x M over the grid, wherever the projections of the tokens give them
+    the same bits in both shapes. Elsewhere the two paths may differ, within
+    a bound: with N = 1 and more than one row (numpy projects a single token
+    with gemv, not gemm), and on a BLAS kernel whose GEMM bits depend on a
+    row's position."""
     for rows, m in itertools.product(_GRID_ROWS, _GRID_FEATURES):
         rng = np.random.default_rng([n_rules, embed_dim, rows, m])
         layer = TransformerLayer(embed_dim, 4, embed_dim, rng, np.float32)
@@ -343,11 +373,12 @@ def test_layer0_shared_rule_side_matches_the_per_row_path(n_rules, embed_dim):
         shared = layer(rules, memory, 0.1, np.random.default_rng(0)).data
         per_row = layer(T.broadcast_rows(rules, rows), memory, 0.1, np.random.default_rng(0)).data
         assert shared.shape == per_row.shape == (rows, n_rules, embed_dim)
-        if n_rules > 1 or rows == 1:
+        if _projections_match(layer, rules, rows):
             assert np.array_equal(shared, per_row), (rows, m)
         else:
-            # measured: at most 1.9e-7 relative, at embed_dim 64 and 256
-            assert np.abs(shared - per_row).max() <= 1e-6 * np.abs(per_row).max(), (rows, m)
+            # measured: at most 2.4e-7 relative, under SkylakeX, Haswell and SandyBridge
+            err = np.abs(shared - per_row).max() / np.abs(per_row).max()
+            assert err <= 1e-6, f"{err:.2e} relative at rows={rows}, M={m}, BLAS kernel {_blas_kernel()}"
 
 
 def test_layer0_rule_side_is_taped_once_per_batch():

@@ -27,6 +27,7 @@ from oracles import (
     ref_gelu,
     ref_layer_norm,
     ref_softmax_per_query,
+    softmax,
 )
 
 
@@ -142,7 +143,7 @@ def test_elementwise_grads_fd():
 
 
 def test_softmax_uniform():
-    out = T.softmax(T.Tensor(np.zeros(3, dtype=np.float64))).data
+    out = softmax(T.Tensor(np.zeros(3, dtype=np.float64))).data
     np.testing.assert_allclose(out, [1 / 3] * 3, atol=1e-12)
 
 
@@ -153,15 +154,15 @@ def test_softmax_uniform():
 )
 def test_softmax_shift_invariance_and_normalization(vals, c):
     x = np.array(vals, dtype=np.float64)
-    s1 = T.softmax(T.Tensor(x)).data
-    s2 = T.softmax(T.Tensor(x + c)).data
+    s1 = softmax(T.Tensor(x)).data
+    s2 = softmax(T.Tensor(x + c)).data
     assert abs(s1.sum() - 1.0) < 1e-6
     np.testing.assert_allclose(s1, s2, atol=1e-9)
 
 
 def test_softmax_extreme_inputs_stay_finite():
     x = T.Tensor(np.array([3.0e38, -3.0e38, 0.0], dtype=np.float32))
-    out = T.softmax(x).data
+    out = softmax(x).data
     assert np.isfinite(out).all()
     assert abs(float(out.sum()) - 1.0) < 1e-6
 
@@ -170,14 +171,14 @@ def test_softmax_grad_fd():
     rng = np.random.default_rng(3)
     x = _param(rng, 4, 5)
     w = T.Tensor(rng.standard_normal((4, 5)), dtype=np.float64)
-    _fd_check(lambda: T.sum_all(T.mul(T.softmax(x, axis=-1), w)), [x])
+    _fd_check(lambda: T.sum_all(T.mul(softmax(x, axis=-1), w)), [x])
 
 
 def test_log_softmax_matches_softmax():
     rng = np.random.default_rng(4)
     x = T.Tensor(rng.standard_normal((3, 6)), dtype=np.float64)
     np.testing.assert_allclose(
-        np.exp(T.log_softmax(x, axis=-1).data), T.softmax(x, axis=-1).data, atol=1e-12
+        np.exp(T.log_softmax(x, axis=-1).data), softmax(x, axis=-1).data, atol=1e-12
     )
 
 
@@ -547,7 +548,7 @@ def test_tape_entries_topologically_ordered():
     bias = _param(rng, 3)
     with T.Tape() as tape:
         h = T.gelu(T.linear(a, b, bias))
-        out = T.softmax(T.add(h, b), axis=-1)
+        out = softmax(T.add(h, b), axis=-1)
         T.sum_all(T.mul(out, T.attention_probs(h, a, 0.5)))
     assert tape.entries, "nothing recorded"
     outputs = [rec.output for rec in tape.entries]
@@ -628,18 +629,17 @@ def test_attention_probs_matches_composition(dtype):
 
     def composed():
         k_t = T.transpose(split_heads(xk), (0, 1, 3, 2))
-        return T.softmax(T.scale(T.matmul(split_heads(xq), k_t), s), axis=-1)
+        return softmax(T.scale(T.matmul(split_heads(xq), k_t), s), axis=-1)
 
     fused = _taped(lambda: T.attention_probs(split_heads(xq), split_heads(xk), s), [xq, xk])
     assert fused[0].shape == (rows, heads, n_q, n_kv)
     _assert_bitwise(fused, _taped(composed, [xq, xk]))
 
 
-# gelu runs T._CHUNK values at a time and layer_norm about as many per block
-# of rows: one chunk, then three full chunks and a ragged fourth (and, for
-# layer_norm, no rows at all)
-_ONE_CHUNK = (7, 9)
-_LAYER_NORM_SHAPES = [_ONE_CHUNK, (29, 64, 64), (3 * T._CHUNK // 16 + 5, 16), (0, 16)]
+# a few values, then about three of dropout's T._CHUNK-value blocks and a
+# ragged fourth, all in one call (and, for layer_norm, no rows at all)
+_SMALL = (7, 9)
+_LAYER_NORM_SHAPES = [_SMALL, (29, 64, 64), (3 * T._CHUNK // 16 + 5, 16), (0, 16)]
 
 
 def _assert_gelu_matches_reference(shape, dtype):
@@ -655,7 +655,7 @@ def _assert_gelu_matches_reference(shape, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_matches_closed_form(dtype):
-    _assert_gelu_matches_reference(_ONE_CHUNK, dtype)
+    _assert_gelu_matches_reference(_SMALL, dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -774,7 +774,7 @@ def test_softmax_of_scores_holding_inf_or_nan_matches_the_per_query_formula(dtyp
     x = np.random.default_rng(27).standard_normal((2, 3, 4, 5)).astype(dtype)
     x[0, 1, 2, 3], x[1, 0, 0, 0], x[1, 2, 1, 1] = np.inf, -np.inf, np.nan
     with np.errstate(invalid="ignore"):
-        out = T.softmax(T.Tensor(x)).data
+        out = softmax(T.Tensor(x)).data
         for i, j in ((0, 1), (1, 0), (1, 2)):
             assert np.array_equal(out[i, j], ref_softmax_per_query(x[i, j]), equal_nan=True)
 
@@ -783,7 +783,7 @@ def test_softmax_of_scores_holding_inf_or_nan_matches_the_per_query_formula(dtyp
 def test_softmax_of_matrices_of_fewer_than_two_queries_matches_the_per_query_formula(n_q):
     # scaled so that some matrices span more than 80 and some do not
     x = 30 * np.random.default_rng(29).standard_normal((4, 3, n_q, 5)).astype(np.float32)
-    out = T.softmax(T.Tensor(x)).data
+    out = softmax(T.Tensor(x)).data
     assert out.shape == x.shape
     assert np.array_equal(out, ref_softmax_per_query(x))
 
@@ -798,7 +798,7 @@ def test_patching_in_numpy_row_statistics_matches_the_parent_formulas(monkeypatc
     want = np.exp(scores - scores.max(axis=-1, keepdims=True))
     want /= want.sum(axis=-1, keepdims=True)
     scores_t = T.Tensor(scores, requires_grad=True)
-    out, (gx,) = _taped(lambda: T.softmax(scores_t), [scores_t], w=g)
+    out, (gx,) = _taped(lambda: softmax(scores_t), [scores_t], w=g)
     assert np.array_equal(out, want)
     assert np.array_equal(gx, (g - (g * want).sum(axis=-1, keepdims=True)) * want)
 
@@ -1021,6 +1021,26 @@ def test_split_kernel_matches_the_unsplit_call_bitwise(helpers, monkeypatch, cas
     name, run, part = _split_cases(np.random.default_rng(40 + case), dtype, contiguous)[case]
     want = _unsplit(monkeypatch, run)
     got = _split_into_parts(monkeypatch, run, part, two_way=int(name == "linear"))
+    _assert_bitwise(got, want)
+
+    # with no helpers (one core), the same parts all run on the calling thread
+    threads = set()
+    split = T._split
+
+    def spy(body, *args, **kwargs):
+        def traced(*a):
+            threads.add(threading.get_ident())
+            return body(*a)
+
+        return split(traced, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(T, "_helper_count", lambda: 0)
+        m.setattr(T, "_POOL", None)
+        m.setattr(T, "_split", spy)
+        got = _split_into_parts(monkeypatch, run, part, two_way=int(name == "linear"))
+        assert T._POOL is False
+    assert threads == {threading.get_ident()}
     _assert_bitwise(got, want)
 
 
