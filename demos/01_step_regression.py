@@ -43,7 +43,7 @@ def fit_at_resolution(path, n_quantiles):
         config,
         seed=0,
     )
-    rmse = evaluate(model, prepared.splits["val"], "rmse")
+    rmse = evaluate(model, prepared.splits["val"])
     return model, prepared, history, rmse
 
 

@@ -18,7 +18,6 @@ import time
 from pathlib import Path
 
 from rulenet import (
-    AblationSwitches,
     Domain,
     SearchSpace,
     evaluate,
@@ -89,7 +88,7 @@ def main():
 
     print()
     no_dec, nd_records = run_study(
-        space.constrained(AblationSwitches(bypass_decoder=True)),
+        space.constrained(["no-dec"]),
         prepared.prep, tr, va, n_trials=20, seed=3, rungs=(2, 4, 8),
     )
     describe("decoder off ", no_dec, nd_records)
@@ -97,7 +96,7 @@ def main():
     print(f"  -> the decoder {verdict}")
 
     model, _ = finalize_best(prepared.prep, tr, va, best, seed=3)
-    rmse = evaluate(model, prepared.splits["test"], "rmse")
+    rmse = evaluate(model, prepared.splits["test"])
     print()
     print(f"winner retrained to full budget: test RMSE {rmse:.4f}")
 

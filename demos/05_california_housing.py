@@ -46,7 +46,7 @@ def main():
         prepared.prep, prepared.splits["train"], prepared.splits["val"], config, seed=0
     )
     minutes = (time.perf_counter() - t0) / 60
-    rmse = evaluate(model, prepared.splits["test"], "rmse")
+    rmse = evaluate(model, prepared.splits["test"])
     print(
         f"trained {history.epochs_run} epochs in {minutes:.1f} min "
         f"(best val RMSE {history.best_val_metric:.4f} at epoch {history.best_epoch})"

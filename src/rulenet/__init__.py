@@ -27,7 +27,6 @@ from .data import (
 )
 from .ensemble import EnsemblePrediction, predict_ensemble, predict_point
 from .hpo import (
-    AblationSwitches,
     Domain,
     SearchSpace,
     TrialRecord,
@@ -50,7 +49,6 @@ from .training import TrainHistory, Trainer, default_metric, evaluate, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "AblationSwitches",
     "DatasetSchema",
     "Domain",
     "EncodedSplit",

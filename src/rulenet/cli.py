@@ -35,15 +35,15 @@ from .errors import (
     describe,
 )
 from .hpo import (
+    ABLATIONS,
     DEFAULT_RUNGS,
-    AblationSwitches,
     SearchSpace,
     run_study,
     sensitivity,
     write_study_files,
 )
 from .model import RuleNetConfig, encoder_only_flops, estimate_flops, fits
-from .training import check_metric, default_metric, evaluate, train
+from .training import METRIC_ACCURACY, METRIC_RMSE, default_metric, evaluate, train
 
 EXIT_OK = 0
 # (error family, exit code, description); the first family that matches wins
@@ -87,15 +87,13 @@ RUN_SETTINGS = {
     **{f.name: (f.default, f.type) for f in dataclasses.fields(RuleNetConfig) if f.name in MODEL_KEYS},
 }
 
-# hpo --ablation names: the AblationSwitches field each one sets
-ABLATIONS = {"no-mask": "disable_masking", "no-dec": "bypass_decoder", "no-quant": "fix_nq_to_2"}
 # a study scores by the task's default metric and trains in float32
 STUDY_SETTINGS = {
     **{key: v for key, v in RUN_SETTINGS.items() if key not in ("metric", "dtype")},
     "trials": (20, "int"),
     "workers": (1, "int"),
     "rungs": (DEFAULT_RUNGS, "list[int]"),  # pruning epochs
-    "ablation": ((), "list[str]"),  # names from ABLATIONS
+    "ablation": ((), "list[str]"),  # names from hpo.ABLATIONS
 }
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -148,6 +146,15 @@ def resolve_run_config(config_path=None, settings=RUN_SETTINGS, **flag_overrides
     return resolved
 
 
+def _check_metric(metric, task: str) -> None:
+    """A ConfigError unless metric names the one this task is scored by."""
+    if metric not in (METRIC_RMSE, METRIC_ACCURACY):
+        raise ConfigError(f"unknown metric {metric!r}")
+    if metric != default_metric(task):
+        needs = TASK_REGRESSION if metric == METRIC_RMSE else TASK_CLASSIFICATION
+        raise ConfigError(f"metric {metric!r} needs a {needs} model, task is {task!r}")
+
+
 def _prepare_from(cfg: dict):
     """The run's data. Writes the data-derived keys into cfg, after checking
     any that the config file set."""
@@ -186,7 +193,7 @@ def cmd_train(args) -> int:
     prep, splits = prepared.prep, prepared.splits
     config = RuleNetConfig.for_schema(prep.schema, **{k: cfg[k] for k in MODEL_KEYS})
     metric = cfg["metric"] or default_metric(config.task)
-    check_metric(metric, config.task)
+    _check_metric(metric, config.task)
 
     make_dirs(args.out)
     history_path = os.path.join(args.out, "history.jsonl")
@@ -209,8 +216,8 @@ def cmd_train(args) -> int:
         "metric": metric,
         "best_epoch": history.best_epoch,
         "epochs_run": history.epochs_run,
-        "val_score": evaluate(model, splits["val"], metric),
-        "test_score": evaluate(model, splits["test"], metric),
+        "val_score": evaluate(model, splits["val"]),
+        "test_score": evaluate(model, splits["test"]),
     }
     metrics_path = os.path.join(args.out, "metrics.json")
     _write_json(metrics_path, final)
@@ -269,7 +276,8 @@ def cmd_evaluate(args) -> int:
     split_ = encode(model.prep, table)
 
     metric = args.metric or default_metric(model.config.task)
-    record = {"metric": metric, "score": evaluate(model, split_, metric)}
+    _check_metric(metric, model.config.task)
+    record = {"metric": metric, "score": evaluate(model, split_)}
     if args.out:
         _write_json(args.out, record)
     print(json.dumps(record))  # contract: the last line is the JSON record
@@ -320,7 +328,7 @@ def cmd_hpo(args) -> int:
     else:
         space = SearchSpace.table_default(batch_size=cfg["batch_size"], epochs=cfg["epochs"])
 
-    space = space.constrained(AblationSwitches(**{ABLATIONS[a]: True for a in cfg["ablation"]}))
+    space = space.constrained(cfg["ablation"])
 
     created = _missing_dirs(args.out)
     try:
@@ -431,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a checkpoint on a labelled CSV")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="CSV with the target column present")
-    p.add_argument("--metric", choices=("rmse", "accuracy"), help="default: by task")
+    p.add_argument("--metric", choices=(METRIC_RMSE, METRIC_ACCURACY), help="default: by task")
     p.add_argument("--out", help="also write the JSON record here")
     p.set_defaults(func=cmd_evaluate)
 

@@ -455,23 +455,13 @@ def fit_preprocessing(schema: DatasetSchema, train: Table, n_quantiles: int) -> 
             bins[col.name] = fit_quantiles(vals[~missing], n_quantiles, feature=col.name)
             fitted_cols.append(ColumnSpec(col.name, col.kind, col.numeric_like, None))
         elif col.kind == KIND_CATEGORICAL:
-            vocab: list[str] = []
-            seen = set()
-            for c in cells:
-                if c is not None and c not in seen:
-                    seen.add(c)
-                    vocab.append(c)
+            vocab = [c for c in dict.fromkeys(cells) if c is not None]  # first-appearance order
             fitted_cols.append(ColumnSpec(col.name, col.kind, col.numeric_like, vocab))
         else:  # target
             if schema.task == TASK_CLASSIFICATION:
-                vocab = []
-                seen = set()
-                for c in cells:
-                    if c is None:
-                        raise SchemaError(f"target column {col.name!r} has missing values")
-                    if c not in seen:
-                        seen.add(c)
-                        vocab.append(c)
+                vocab = list(dict.fromkeys(cells))
+                if None in vocab:
+                    raise SchemaError(f"target column {col.name!r} has missing values")
                 n_classes = len(vocab)
                 if n_classes < 2:
                     raise SchemaError(

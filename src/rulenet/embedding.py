@@ -60,7 +60,8 @@ def locate_segments(values, boundaries, n_quantiles) -> tuple[np.ndarray, np.nda
     lo = np.take_along_axis(b, idx[..., None], axis=-1)[..., 0]
     width = np.take_along_axis(b, idx[..., None] + 1, axis=-1)[..., 0] - lo
     safe = np.where(width > 0.0, width, 1.0)
-    frac = np.where(width > 0.0, (values - lo) / safe, 0.0)
+    with np.errstate(over="ignore"):  # an overflowing fraction clips to 1
+        frac = np.where(width > 0.0, (values - lo) / safe, 0.0)
     return idx.astype(np.int64), np.clip(frac, 0.0, 1.0)
 
 
@@ -189,6 +190,8 @@ def rule_tokens(
     swap = _mask_draws(rate, n, rng)
     if not swap.any():
         return rules.rules
+    # a masked rule reads row n, the masked vector: one row r is blended
+    # as (r, r) by (1, 0), as FeatureEmbeddings does for a masked cell
     sel = np.where(swap, n, np.arange(n))
     joined = T.concat([rules.rules, T.reshape(rules.masked_rule_vector, (1, -1))], axis=0)
-    return T.gather(joined, sel, label="rules")
+    return T.interp_rows(joined, sel, sel, np.ones(n), np.zeros(n))

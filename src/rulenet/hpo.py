@@ -13,6 +13,7 @@ that knob mattered across the study.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
@@ -29,7 +30,7 @@ from .checkpoint import atomic_open
 from .data import DatasetSchema, EncodedSplit, Preprocessing, fit_quantiles
 from .errors import FAILURES, ConfigError, StudyError, describe
 from .model import RuleNetConfig, fits
-from .training import METRIC_RMSE, Trainer, default_metric, train
+from .training import Trainer, default_metric, oriented, train
 
 DEFAULT_RUNGS = (11, 33, 100)
 REDUCTION_FACTOR = 3
@@ -37,6 +38,8 @@ REDUCTION_FACTOR = 3
 STATUS_COMPLETED = "completed"
 STATUS_PRUNED = "pruned"
 STATUS_FAILED = "failed"
+
+SENSITIVITY_BUCKETS = 5  # quantile buckets per numeric hyperparameter
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +109,14 @@ def _finite(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-@dataclass(frozen=True)
-class AblationSwitches:
-    """The three component-removal experiments."""
-
-    disable_masking: bool = False  # no stochastic masking, no dropout
-    bypass_decoder: bool = False  # untouched encoder output feeds the head
-    fix_nq_to_2: bool = False  # quantile embedding collapses to min/max lerp
+# the component ablations: each name pins the hyperparameters it removes
+ABLATIONS = {
+    "no-mask": {  # no stochastic masking, no dropout
+        "mask_rate": 0.0, "rule_mask_rate": 0.0, "transformer_dropout": 0.0, "head_dropout": 0.0,
+    },
+    "no-dec": {"decoder_layers": 0},  # untouched encoder output feeds the head
+    "no-quant": {"n_quantiles": 2},  # quantile embedding collapses to min/max lerp
+}
 
 
 @dataclass
@@ -151,15 +155,14 @@ class SearchSpace:
         out[name] = Domain("fixed", values=(value,))
         return SearchSpace(out)
 
-    def constrained(self, switches: AblationSwitches) -> "SearchSpace":
+    def constrained(self, ablations) -> "SearchSpace":
+        """The space with every hyperparameter of the named ablations pinned."""
         space = self
-        if switches.disable_masking:
-            for name in ("mask_rate", "rule_mask_rate", "transformer_dropout", "head_dropout"):
-                space = space.pin(name, 0.0)
-        if switches.bypass_decoder:
-            space = space.pin("decoder_layers", 0)
-        if switches.fix_nq_to_2:
-            space = space.pin("n_quantiles", 2)
+        for name in ablations:
+            if name not in ABLATIONS:
+                raise ConfigError(f"unknown ablation {name!r}, expected one of {list(ABLATIONS)}")
+            for key, value in ABLATIONS[name].items():
+                space = space.pin(key, value)
         return space
 
     def to_json(self) -> dict:
@@ -212,21 +215,7 @@ class TrialRecord:
     error: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {
-            "trial_id": self.trial_id,
-            "config": self.config.to_json(),
-            "metric": self.metric,
-            "rung_scores": list(self.rung_scores),
-            "score": self.score,
-            "status": self.status,
-            "wall_time": self.wall_time,
-            "error": self.error,
-        }
-
-
-def oriented(metric: str, value: float) -> float:
-    """Map a validation metric to the study's higher-is-better scale."""
-    return -value if metric == METRIC_RMSE else value
+        return dataclasses.asdict(self)
 
 
 def _trial_seed(seed: int, trial_id: int) -> int:
@@ -368,7 +357,7 @@ def finalize_best(prep, train_split, val_split, best: TrialRecord, seed: int):
 # sensitivity
 
 
-def sensitivity(records, param: str, n_buckets: int = 5) -> list:
+def sensitivity(records, param: str) -> list:
     """Mean final score per value bucket of one hyperparameter.
 
     Trials contribute if they earned a score (completed, or pruned at some
@@ -376,8 +365,6 @@ def sensitivity(records, param: str, n_buckets: int = 5) -> list:
     where bucket is the exact value when few distinct values exist, else a
     (lo, hi) quantile-bucket range.
     """
-    if n_buckets < 1:
-        raise ConfigError(f"n_buckets must be >= 1, got {n_buckets}")
     known = {f for f in RuleNetConfig.__dataclass_fields__}
     if param not in known:
         raise ConfigError(f"unknown hyperparameter {param!r}")
@@ -398,17 +385,17 @@ def sensitivity(records, param: str, n_buckets: int = 5) -> list:
     distinct = np.unique(values)
 
     out = []
-    if len(distinct) <= n_buckets:
+    if len(distinct) <= SENSITIVITY_BUCKETS:
         for v in distinct:
             members = scores[values == v]
             out.append((float(v), float(members.mean()), int(members.size)))
         return out
 
-    levels = np.linspace(0.0, 1.0, n_buckets + 1)
+    levels = np.linspace(0.0, 1.0, SENSITIVITY_BUCKETS + 1)
     edges = np.quantile(values, levels)
-    for i in range(n_buckets):
+    for i in range(SENSITIVITY_BUCKETS):
         lo, hi = edges[i], edges[i + 1]
-        if i == n_buckets - 1:
+        if i == SENSITIVITY_BUCKETS - 1:
             mask = (values >= lo) & (values <= hi)
         else:
             mask = (values >= lo) & (values < hi)

@@ -910,26 +910,6 @@ def mean_all(x: Tensor) -> Tensor:
 # lookups
 
 
-def gather(table: Tensor, idx: np.ndarray, label: str = "table") -> Tensor:
-    idx = np.asarray(idx)
-    if table.data.ndim != 2:
-        raise DimensionError(f"gather: table must be 2-d, got {table.data.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
-        bad = idx[(idx < 0) | (idx >= table.data.shape[0])][0]
-        raise IndexRangeError(
-            f"gather into {label}: id {int(bad)} outside [0, {table.data.shape[0]})"
-        )
-    return _emit("gather", (table,), table.data[idx], (idx, table.data.shape))
-
-
-@_vjp("gather")
-def _gather_bwd(rec: OpRecord, g: np.ndarray):
-    idx, shape = rec.ctx
-    gt = np.zeros(shape, dtype=g.dtype)
-    np.add.at(gt, idx, g)
-    return (gt,)
-
-
 def interp_rows(
     table: Tensor,
     idx_lo: np.ndarray,

@@ -19,7 +19,6 @@ import numpy as np
 from . import tensor as T
 from .data import (
     EncodedSplit,
-    TASK_CLASSIFICATION,
     TASK_REGRESSION,
     TargetNormalizer,
     make_batches,
@@ -32,6 +31,10 @@ METRIC_RMSE = "rmse"
 METRIC_ACCURACY = "accuracy"
 
 EVAL_CHUNK = 1024  # rows per forward pass when predicting without gradients
+
+# AdamW's moment decays, denominator floor, and dense-group weight decay
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+WEIGHT_DECAY = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -89,18 +92,7 @@ class AdamW:
     samples would otherwise shrink at a rate unrelated to their gradients.
     """
 
-    def __init__(
-        self,
-        groups: dict,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-    ):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
+    def __init__(self, groups: dict):
         self.groups = {k: list(v) for k, v in groups.items()}
         if set(self.groups) != {"dense", "sparse"}:
             raise ConfigError(f"expected dense+sparse groups, got {sorted(self.groups)}")
@@ -115,10 +107,10 @@ class AdamW:
     def step(self, lr_dense: float, lr_sparse: float) -> None:
         self.step_count += 1
         t = self.step_count
-        c1 = 1.0 - self.beta1**t
-        c2 = 1.0 - self.beta2**t
+        c1 = 1.0 - BETA1**t
+        c2 = 1.0 - BETA2**t
         for group, lr, decay in (
-            ("dense", lr_dense, self.weight_decay),
+            ("dense", lr_dense, WEIGHT_DECAY),
             ("sparse", lr_sparse, 0.0),
         ):
             for name, p in self.groups[group]:
@@ -127,11 +119,11 @@ class AdamW:
                     p.data *= 1.0 - lr * decay
                 m = self._m[name]
                 v = self._v[name]
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * np.square(g)
-                p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+                m *= BETA1
+                m += (1.0 - BETA1) * g
+                v *= BETA2
+                v += (1.0 - BETA2) * np.square(g)
+                p.data -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
     def zero_grad(self) -> None:
         for pairs in self.groups.values():
@@ -184,42 +176,34 @@ def predict_split(model: RuleNetModel, split_: EncodedSplit, rng=None) -> np.nda
     return np.concatenate(outs, axis=0)
 
 
-def evaluate(model: RuleNetModel, split_: EncodedSplit, metric: str) -> float:
-    """Validation score: RMSE in original target units, or argmax accuracy."""
-    check_metric(metric, model.config.task)
+def evaluate(model: RuleNetModel, split_: EncodedSplit) -> float:
+    """Validation score in the task's metric: RMSE in original target
+    units, or argmax accuracy."""
     if split_.target is None:
         raise ContractError("split has no target column to evaluate against")
     if split_.n_rows == 0:
         raise ContractError("split has no rows to evaluate")
 
     pred = predict_split(model, split_)
-    if metric == METRIC_RMSE:
+    if model.config.task == TASK_REGRESSION:
         y_hat = model.prep.normalizer.denormalize(pred.astype(np.float64))
         err = y_hat - split_.target
         return float(np.sqrt(np.mean(np.square(err))))
     return float(np.mean(np.argmax(pred, axis=1) == split_.target))
 
 
-def check_metric(metric: str, task: str) -> None:
-    """A ConfigError unless metric is known and scores models of this task."""
-    if metric not in (METRIC_RMSE, METRIC_ACCURACY):
-        raise ConfigError(f"unknown metric {metric!r}")
-    needs = TASK_REGRESSION if metric == METRIC_RMSE else TASK_CLASSIFICATION
-    if task != needs:
-        raise ConfigError(f"metric {metric!r} needs a {needs} model, task is {task!r}")
-
-
 def default_metric(task: str) -> str:
     return METRIC_RMSE if task == TASK_REGRESSION else METRIC_ACCURACY
 
 
+def oriented(metric: str, value: float) -> float:
+    """Map a validation metric to a higher-is-better scale."""
+    return -value if metric == METRIC_RMSE else value
+
+
 def metric_improved(metric: str, candidate: float, incumbent: Optional[float]) -> bool:
     """Strict improvement, so the earliest epoch keeps ties."""
-    if incumbent is None:
-        return True
-    if metric == METRIC_RMSE:
-        return candidate < incumbent
-    return candidate > incumbent
+    return incumbent is None or oriented(metric, candidate) > oriented(metric, incumbent)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +246,9 @@ class Trainer:
         config.validate()
         if train_split.target is None or val_split.target is None:
             raise ContractError("training requires targets in both splits")
+        for name, part in (("train", train_split), ("val", val_split)):
+            if part.n_rows == 0:
+                raise ContractError(f"training requires rows in both splits; {name} has none")
         self.prep = prep
         self.config = config
         self.seed = seed
@@ -312,7 +299,7 @@ class Trainer:
         while self.history.epochs_run < target:
             epoch = self.history.epochs_run
             train_loss, lr = self._train_one_epoch(epoch)
-            score = evaluate(self.model, self.val_split, self.metric)
+            score = evaluate(self.model, self.val_split)
             # weights can blow up while layer norm keeps the training loss
             # finite; the validation metric is where that surfaces
             if not math.isfinite(score):

@@ -4,6 +4,7 @@ import csv
 import errno
 import json
 import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,6 +53,14 @@ def _write_config(path, **extra):
     return str(path)
 
 
+def _read_json(path):
+    return json.loads(Path(path).read_text())
+
+
+def _lines(path):
+    return Path(path).read_text().splitlines()
+
+
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -95,15 +104,15 @@ def cls_run(tmp_path_factory):
 def test_train_writes_all_four_artifacts(reg_run):
     names = sorted(os.listdir(reg_run.out))
     assert names == ["checkpoint.rnc", "config.json", "history.jsonl", "metrics.json"]
-    metrics = json.load(open(reg_run.out / "metrics.json"))
+    metrics = _read_json(reg_run.out / "metrics.json")
     assert metrics["metric"] == "rmse"
     assert np.isfinite(metrics["val_score"]) and np.isfinite(metrics["test_score"])
-    lines = open(reg_run.out / "history.jsonl").read().splitlines()
+    lines = _lines(reg_run.out / "history.jsonl")
     assert len(lines) == TINY["epochs"]
 
 
 def test_train_echoes_a_replayable_config(reg_run):
-    echoed = json.load(open(reg_run.out / "config.json"))
+    echoed = _read_json(reg_run.out / "config.json")
     # run-level keys plus every model field, including the data-derived ones
     for key in ("data", "fractions", "seed", "dtype", "n_features", "task", "epochs"):
         assert key in echoed
@@ -121,8 +130,8 @@ def test_train_same_seed_twice_is_identical(reg_run, tmp_path):
     )
     assert rc == 0
     for name in ("metrics.json", "history.jsonl", "checkpoint.rnc"):
-        a = open(reg_run.out / name, "rb").read()
-        b = open(out2 / name, "rb").read()
+        a = (reg_run.out / name).read_bytes()
+        b = (out2 / name).read_bytes()
         assert a == b, name
 
 
@@ -172,7 +181,7 @@ def test_train_replays_its_echoed_config(reg_run, tmp_path):
 
 
 def test_train_echoed_config_must_match_the_data(reg_run, tmp_path, capsys):
-    echoed = json.load(open(reg_run.out / "config.json"))
+    echoed = _read_json(reg_run.out / "config.json")
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({**echoed, "n_features": echoed["n_features"] + 1}))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
@@ -352,7 +361,7 @@ def test_evaluate_prints_json_record_last(reg_run, capsys):
 
     model = load_checkpoint(reg_run.ckpt)
     enc = encode(model.prep, read_table(reg_run.data))
-    assert record["score"] == evaluate(model, enc, "rmse")  # bitwise
+    assert record["score"] == evaluate(model, enc)  # bitwise
 
 
 def test_evaluate_can_write_the_record(reg_run, tmp_path, capsys):
@@ -361,7 +370,7 @@ def test_evaluate_can_write_the_record(reg_run, tmp_path, capsys):
                "--out", str(out)])
     assert rc == 0
     printed = json.loads(capsys.readouterr().out.splitlines()[-1])
-    assert json.load(open(out)) == printed
+    assert _read_json(out) == printed
 
 
 def test_failed_json_write_leaves_the_previous_file(tmp_path):
@@ -390,6 +399,20 @@ def test_evaluate_wrong_metric_for_task(reg_run, capsys):
                "--metric", "accuracy"])
     assert rc == 3
     assert "accuracy" in capsys.readouterr().err
+
+
+def test_metric_must_be_the_task_metric(cls_run, capsys):
+    rc = main(["evaluate", "--checkpoint", cls_run.ckpt, "--data", cls_run.data,
+               "--metric", "rmse"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "metric 'rmse' needs a regression model, task is 'classification'" in err
+    cli._check_metric("rmse", "regression")
+    cli._check_metric("accuracy", "classification")
+    with pytest.raises(ConfigError, match="'accuracy' needs a classification model"):
+        cli._check_metric("accuracy", "regression")
+    with pytest.raises(ConfigError, match="unknown metric 'r2'"):
+        cli._check_metric("r2", "classification")
 
 
 def test_evaluate_missing_target_names_the_column(reg_run, tmp_path, capsys):
@@ -447,22 +470,22 @@ def test_hpo_writes_study_artifacts(reg_run, tmp_path):
     names = sorted(os.listdir(out))
     assert names == ["best.json", "config.json", "sensitivity.json", "trials.jsonl"]
 
-    trials = [json.loads(line) for line in open(out / "trials.jsonl")]
+    trials = [json.loads(line) for line in _lines(out / "trials.jsonl")]
     assert len(trials) == 4
     assert {t["status"] for t in trials} <= {"completed", "pruned", "failed"}
 
-    best = json.load(open(out / "best.json"))
+    best = _read_json(out / "best.json")
     completed = [t for t in trials if t["status"] == "completed"]
     assert best["best_score"] == max(t["score"] for t in completed)
 
     # a sensitivity table for every searched hyperparameter, and only those
-    sens = json.load(open(out / "sensitivity.json"))
+    sens = _read_json(out / "sensitivity.json")
     searched = {n for n, d in SPACE.items() if d["kind"] != "fixed"}
     assert set(sens) == searched
     for table in sens.values():
         assert table and all({"bucket", "mean_score", "count"} <= set(row) for row in table)
 
-    echoed = json.load(open(out / "config.json"))
+    echoed = _read_json(out / "config.json")
     assert echoed["trials"] == 4 and echoed["rungs"] == [1, 2]
 
 
@@ -472,13 +495,13 @@ def test_hpo_is_deterministic(reg_run, tmp_path):
     assert _run_hpo(reg_run, out2) == 0
 
     def stripped(path):
-        trials = [json.loads(line) for line in open(path / "trials.jsonl")]
+        trials = [json.loads(line) for line in _lines(path / "trials.jsonl")]
         for t in trials:
             t.pop("wall_time")
         return trials
 
     assert stripped(out1) == stripped(out2)
-    assert json.load(open(out1 / "sensitivity.json")) == json.load(open(out2 / "sensitivity.json"))
+    assert _read_json(out1 / "sensitivity.json") == _read_json(out2 / "sensitivity.json")
 
 
 @pytest.mark.parametrize(
@@ -493,7 +516,7 @@ def test_hpo_is_deterministic(reg_run, tmp_path):
 def test_hpo_ablation_pins_every_sampled_config(reg_run, tmp_path, flag, pinned):
     out = tmp_path / flag
     assert _run_hpo(reg_run, out, "--ablation", flag) == 0
-    for line in open(out / "trials.jsonl"):
+    for line in _lines(out / "trials.jsonl"):
         config = json.loads(line)["config"]
         for key, value in pinned.items():
             assert config[key] == value
@@ -526,9 +549,9 @@ def test_out_of_memory_is_one_line_and_an_internal_error(reg_run, tmp_path, monk
 def test_hpo_replays_its_echoed_config(reg_run, tmp_path, capsys):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     assert _run_hpo(reg_run, out1, "--ablation", "no-quant", "--ablation", "no-dec") == 0
-    echoed = json.load(open(out1 / "config.json"))
+    echoed = _read_json(out1 / "config.json")
     assert echoed["ablation"] == ["no-dec", "no-quant"]
-    run_echo = json.load(open(reg_run.out / "config.json"))
+    run_echo = _read_json(reg_run.out / "config.json")
     for key in ("n_features", "n_classes", "task"):
         assert echoed[key] == run_echo[key]
 
@@ -538,7 +561,7 @@ def test_hpo_replays_its_echoed_config(reg_run, tmp_path, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def stripped(path):
-        return [{**json.loads(line), "wall_time": None} for line in open(path / "trials.jsonl")]
+        return [{**json.loads(line), "wall_time": None} for line in _lines(path / "trials.jsonl")]
 
     assert stripped(out1) == stripped(out2)
 

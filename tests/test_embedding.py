@@ -67,6 +67,12 @@ def test_locate_nan_rejected():
     assert np.array_equal(out[0], feature_view(feat, "x")[1])
 
 
+@pytest.mark.filterwarnings("error")
+def test_locate_overflowing_fraction_clips_without_a_warning():
+    # (1e300 - 1e-300) / 1e-300 overflows float64; the fraction clips to 1
+    assert _locate([1e300], _bins([0.0, 1e-300, 2e-300])) == ([1], [1.0])
+
+
 def test_locate_zero_width_segment():
     assert _locate([5.0], _bins([0, 5, 5, 10])) == ([2], [0.0])
     assert _locate([3.0], _bins([3, 3])) == ([0], [0.0])
@@ -459,6 +465,31 @@ def test_rule_tokens_mean_masked_count():
         out = E.rule_tokens(rules, 0.2, rng).data
         total += int((out == masked_ref).all(axis=1).sum())
     assert abs(total / trials - 20.0) < 1.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_rule_tokens_match_a_row_lookup_oracle(seed, dtype):
+    # the masked vector is row n of [rules; masked], so several masked rules
+    # repeat index n and its gradient sums over them
+    n, e = 12, 4
+    rules = E.RuleEmbeddings.build(n, e, np.random.default_rng(seed), dtype)
+    swap = E._mask_draws(0.5, n, np.random.default_rng(seed))
+    assert swap.sum() >= 2
+    sel = np.where(swap, n, np.arange(n))
+    joined = np.vstack([rules.rules.data, rules.masked_rule_vector.data[None]])
+    w = np.random.default_rng(seed + 100).standard_normal((n, e)).astype(dtype)
+    with T.Tape() as tape:
+        tokens = E.rule_tokens(rules, 0.5, np.random.default_rng(seed))
+        loss = T.sum_all(T.mul(tokens, T.Tensor(w, dtype=dtype)))
+    T.backward(tape, loss)
+
+    assert tokens.data.dtype == dtype
+    assert np.array_equal(tokens.data, joined[sel])
+    want = np.zeros_like(joined)
+    np.add.at(want, sel, w)
+    assert np.array_equal(rules.rules.grad, want[:n])
+    assert np.array_equal(rules.masked_rule_vector.grad, want[n])
 
 
 # ---------------------------------------------------------------------------

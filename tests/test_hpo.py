@@ -9,19 +9,17 @@ from rulenet import hpo
 from rulenet.data import take_rows
 from rulenet.errors import ConfigError, StudyError
 from rulenet.hpo import (
-    AblationSwitches,
     Domain,
     SearchSpace,
     TrialRecord,
     finalize_best,
-    oriented,
     run_study,
     sample_config,
     sensitivity,
     write_study_files,
 )
 from rulenet.model import RuleNetConfig
-from rulenet.training import evaluate
+from rulenet.training import evaluate, oriented
 
 from helpers import make_dataset
 
@@ -136,21 +134,27 @@ def test_ablation_switches_constrain_the_space():
     rng = np.random.default_rng(3)
     base = SearchSpace.table_default()
 
-    no_mask = base.constrained(AblationSwitches(disable_masking=True))
+    no_mask = base.constrained(["no-mask"])
     for _ in range(20):
         cfg = sample_config(no_mask, rng, prep.schema)
         assert cfg.mask_rate == cfg.rule_mask_rate == 0.0
         assert cfg.transformer_dropout == cfg.head_dropout == 0.0
 
-    no_dec = base.constrained(AblationSwitches(bypass_decoder=True))
+    no_dec = base.constrained(["no-dec"])
     assert all(
         sample_config(no_dec, rng, prep.schema).decoder_layers == 0 for _ in range(20)
     )
 
-    no_quant = base.constrained(AblationSwitches(fix_nq_to_2=True))
+    no_quant = base.constrained(["no-quant"])
     assert all(
         sample_config(no_quant, rng, prep.schema).n_quantiles == 2 for _ in range(20)
     )
+
+    assert base.constrained([]) == base
+    both = base.constrained(["no-dec", "no-quant"])
+    assert both.domains == {**no_dec.domains, "n_quantiles": no_quant.domains["n_quantiles"]}
+    with pytest.raises(ConfigError, match="no-skip"):
+        base.constrained(["no-dec", "no-skip"])
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +384,7 @@ def test_finalize_best_reproduces_the_trial_score():
     best, _ = run_study(_tiny_space(), prep, tr, va, n_trials=3, seed=10, rungs=(1, 3))
     model, history = finalize_best(prep, tr, va, best, seed=10)
     assert oriented("rmse", history.best_val_metric) == best.score
-    assert oriented("rmse", evaluate(model, va, "rmse")) == best.score
+    assert oriented("rmse", evaluate(model, va)) == best.score
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +427,7 @@ def test_sensitivity_reference_grouping():
         _record(1, 0.7, mask_rate=0.1),
         _record(2, 0.5, mask_rate=0.3),
     ]
-    got = sensitivity(records, "mask_rate", n_buckets=5)
+    got = sensitivity(records, "mask_rate")
     assert got == [(0.1, pytest.approx(0.8), 2), (0.3, 0.5, 1)]
 
 
@@ -444,14 +448,15 @@ def test_sensitivity_rejects_unknown_param():
         sensitivity([_record(0, None)], "mask_rate")
 
 
-def test_sensitivity_matches_brute_force_oracle():
+def test_sensitivity_matches_brute_force_oracle(monkeypatch):
     rng = np.random.default_rng(11)
     records = [
         _record(i, float(rng.normal()), lr_dense=float(10 ** rng.uniform(-4, -2)))
         for i in range(100)
     ]
     n_buckets = 4
-    got = sensitivity(records, "lr_dense", n_buckets=n_buckets)
+    monkeypatch.setattr(hpo, "SENSITIVITY_BUCKETS", n_buckets)
+    got = sensitivity(records, "lr_dense")
 
     values = np.array([r.config.lr_dense for r in records])
     scores = np.array([r.score for r in records])

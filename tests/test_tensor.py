@@ -367,47 +367,16 @@ def test_maxpool_grad_fd():
 
 
 # ---------------------------------------------------------------------------
-# gather / interp_rows
+# interp_rows
 
 
-def test_gather_identity_row():
-    table = T.Tensor(np.eye(3, dtype=np.float64))
-    np.testing.assert_array_equal(
-        T.gather(table, np.array([2])).data, [[0.0, 0.0, 1.0]]
-    )
-
-
-def test_gather_repeated_index_accumulates():
-    table = T.Tensor(np.zeros((4, 2)), requires_grad=True)
-    (g,) = _grad_of(
-        lambda: T.sum_all(T.gather(table, np.array([1, 1, 3]))), [table]
-    )
-    np.testing.assert_array_equal(
-        g, [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
-    )
-
-
-def test_gather_roundtrip():
-    rng = np.random.default_rng(11)
-    table = T.Tensor(rng.standard_normal((5, 3)))
-    out = T.gather(table, np.arange(5)).data
-    np.testing.assert_array_equal(out, table.data)
-
-
-def test_gather_out_of_range_names_value():
+def test_interp_rows_out_of_range_names_the_index():
     table = T.Tensor(np.zeros((3, 2)))
-    with pytest.raises(IndexRangeError) as exc:
-        T.gather(table, np.array([0, 7]), label="color")
-    msg = str(exc.value)
-    assert "color" in msg and "7" in msg
-
-
-def test_gather_grad_fd():
-    rng = np.random.default_rng(12)
-    table = _param(rng, 6, 3)
-    idx = np.array([0, 2, 2, 5, 1])
-    w = T.Tensor(rng.standard_normal((5, 3)), dtype=np.float64)
-    _fd_check(lambda: T.sum_all(T.mul(T.gather(table, idx), w)), [table])
+    ok, bad = np.array([0, 1]), np.array([0, 7])
+    with pytest.raises(IndexRangeError, match=r"idx_hi outside \[0, 3\)"):
+        T.interp_rows(table, ok, bad, np.ones(2), np.zeros(2))
+    with pytest.raises(IndexRangeError, match="idx_lo"):
+        T.interp_rows(table, np.array([-1, 0]), ok, np.ones(2), np.zeros(2))
 
 
 def test_interp_rows_blend():

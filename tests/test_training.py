@@ -7,6 +7,7 @@ from scipy.special import log_softmax as sp_log_softmax
 from scipy.special import ndtr
 
 from rulenet import tensor as T
+from rulenet import training
 from rulenet.data import TargetNormalizer, prepare, take_rows
 from rulenet.datasets import separable_classification, step_regression, write_csv
 from rulenet.ensemble import predict_point
@@ -145,7 +146,7 @@ def test_adamw_zero_grad_is_pure_decay_on_dense():
     dense, sparse, groups = _toy_groups(rng)
     w0 = dense.data.copy()
     s0 = sparse.data.copy()
-    opt = AdamW(groups, weight_decay=0.01)
+    opt = AdamW(groups)
     dense.grad = np.zeros_like(dense.data)
     sparse.grad = np.zeros_like(sparse.data)
     opt.step(lr_dense=0.1, lr_sparse=0.1)
@@ -213,13 +214,14 @@ def test_onecycle_rejects_bad_inputs():
 # single-step descent
 
 
-def test_one_small_step_decreases_batch_loss():
+def test_one_small_step_decreases_batch_loss(monkeypatch):
     # allow one failure in twenty: descent is only guaranteed up to
     # curvature, and a random model may sit near a kink
+    monkeypatch.setattr(training, "WEIGHT_DECAY", 0.0)
     failures = 0
     for trial in range(20):
         model, batch = tiny_model(seed=100 + trial, dtype=np.float64)
-        opt = AdamW(model.parameter_groups(), weight_decay=0.0)
+        opt = AdamW(model.parameter_groups())
         rng = np.random.default_rng(trial)
         with T.Tape() as tape:
             pred = model.forward(batch, "train", rng=rng)
@@ -247,7 +249,7 @@ def test_evaluate_mean_regressor_scores_sigma():
     # zeroed head predicts the (normalized) train mean, so RMSE is sigma_y
     prep, enc = make_dataset(rows=64, seed=40)
     model = _zero_head(tiny_model(seed=40, rows=64)[0])
-    got = evaluate(model, enc, "rmse")
+    got = evaluate(model, enc)
     mean = model.prep.normalizer.mean
     want = two_pass_rmse(np.full(enc.n_rows, mean), enc.target)
     assert abs(got - want) / want < 1e-6
@@ -256,7 +258,7 @@ def test_evaluate_mean_regressor_scores_sigma():
 
 def test_evaluate_rmse_matches_two_pass_oracle():
     model, batch = tiny_model(seed=41, rows=32)
-    got = evaluate(model, batch, "rmse")
+    got = evaluate(model, batch)
     pred = model.prep.normalizer.denormalize(predict_split(model, batch).astype(np.float64))
     assert abs(got - two_pass_rmse(pred, batch.target)) / max(got, 1e-12) < 1e-6
 
@@ -267,18 +269,7 @@ def test_evaluate_accuracy_of_constant_argmax_on_balanced_labels():
     model, batch = tiny_model(seed=42, task="classification", rows=9)
     _zero_head(model)
     batch.target[:] = np.arange(9) % 3
-    assert evaluate(model, batch, "accuracy") == pytest.approx(1 / 3)
-
-
-def test_evaluate_rejects_metric_task_mismatch():
-    model, batch = tiny_model(seed=43)
-    with pytest.raises(ConfigError, match="accuracy"):
-        evaluate(model, batch, "accuracy")
-    clf, clf_batch = tiny_model(seed=43, task="classification")
-    with pytest.raises(ConfigError, match="rmse"):
-        evaluate(clf, clf_batch, "rmse")
-    with pytest.raises(ConfigError, match="unknown metric"):
-        evaluate(model, batch, "r2")
+    assert evaluate(model, batch) == pytest.approx(1 / 3)
 
 
 def test_evaluate_rejects_a_split_of_no_rows():
@@ -288,14 +279,14 @@ def test_evaluate_rejects_a_split_of_no_rows():
     assert empty.n_rows == 0 and empty.target is not None
     assert predict_split(model, empty).shape == (0,)
     with pytest.raises(ContractError, match="no rows"):
-        evaluate(model, empty, "rmse")
+        evaluate(model, empty)
 
 
 def test_evaluate_requires_targets():
     model, batch = tiny_model(seed=44)
     batch = type(batch)(batch.numeric, batch.numeric_missing, batch.categorical, None, batch.n_rows)
     with pytest.raises(ContractError, match="target"):
-        evaluate(model, batch, "rmse")
+        evaluate(model, batch)
 
 
 def test_eval_loss_invariant_to_partitioning():
@@ -329,7 +320,7 @@ def test_train_returns_best_epoch_weights():
     assert history.best_val_metric == min(history.val_metric)
     assert history.best_epoch == int(np.argmin(history.val_metric))
     # the returned weights really are the best epoch's weights
-    assert evaluate(model, va, "rmse") == history.best_val_metric
+    assert evaluate(model, va) == history.best_val_metric
 
 
 def test_train_is_deterministic():
@@ -398,6 +389,18 @@ def test_finalize_before_any_epoch_is_an_error():
     prep, tr, va, cfg = _training_setup()
     with pytest.raises(ContractError):
         Trainer(prep, tr, va, cfg, seed=7).finalize()
+
+
+def test_trainer_rejects_an_empty_train_split():
+    prep, tr, va, cfg = _training_setup()
+    with pytest.raises(ContractError, match="train has none"):
+        Trainer(prep, take_rows(tr, np.arange(0)), va, cfg, seed=7)
+
+
+def test_trainer_rejects_an_empty_val_split():
+    prep, tr, va, cfg = _training_setup()
+    with pytest.raises(ContractError, match="val has none"):
+        Trainer(prep, tr, take_rows(va, np.arange(0)), cfg, seed=7)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
