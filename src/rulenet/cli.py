@@ -3,8 +3,8 @@
 train and hpo resolve their settings (defaults < --config file < flags) into
 one dict and write it to the run directory as config.json, which --config
 reads back: a run can be replayed exactly from its artifacts. All commands
-are deterministic for a fixed --seed. EXIT_CODES lists the exit codes, and
---help prints them.
+are deterministic for a fixed --seed, BLAS kernel and BLAS thread count.
+EXIT_CODES lists the exit codes, and --help prints them.
 """
 
 from __future__ import annotations
@@ -87,9 +87,12 @@ RUN_SETTINGS = {
     **{f.name: (f.default, f.type) for f in dataclasses.fields(RuleNetConfig) if f.name in MODEL_KEYS},
 }
 
-# a study scores by the task's default metric and trains in float32
+# a study scores by the task's default metric, trains in float32 and samples
+# every model field from its space, whose default brackets batch_size
 STUDY_SETTINGS = {
-    **{key: v for key, v in RUN_SETTINGS.items() if key not in ("metric", "dtype")},
+    **{key: RUN_SETTINGS[key] for key in ("data", "target", "fractions", "seed", *DATA_KEYS)},
+    "batch_size": RUN_SETTINGS["batch_size"],
+    "epochs": RUN_SETTINGS["epochs"],
     "trials": (20, "int"),
     "workers": (1, "int"),
     "rungs": (DEFAULT_RUNGS, "list[int]"),  # pruning epochs
@@ -155,15 +158,15 @@ def _check_metric(metric, task: str) -> None:
         raise ConfigError(f"metric {metric!r} needs a {needs} model, task is {task!r}")
 
 
-def _prepare_from(cfg: dict):
-    """The run's data. Writes the data-derived keys into cfg, after checking
-    any that the config file set."""
+def _prepare_from(cfg: dict, n_quantiles: int):
+    """The run's data, binned at n_quantiles. Writes the data-derived keys
+    into cfg, after checking any that the config file set."""
     if not cfg["data"]:
         raise ConfigError('no dataset: pass --data or set "data" in the config file')
     hint = {cfg["target"]: "target"} if cfg["target"] else None
     prepared = prepare(
         cfg["data"],
-        n_quantiles=cfg["n_quantiles"],
+        n_quantiles=n_quantiles,
         fractions=cfg["fractions"],
         seed=cfg["seed"],
         schema_hint=hint,
@@ -189,7 +192,7 @@ def _write_json(path, obj) -> None:
 
 def cmd_train(args) -> int:
     cfg = resolve_run_config(args.config, data=args.data, seed=args.seed)
-    prepared = _prepare_from(cfg)
+    prepared = _prepare_from(cfg, cfg["n_quantiles"])
     prep, splits = prepared.prep, prepared.splits
     config = RuleNetConfig.for_schema(prep.schema, **{k: cfg[k] for k in MODEL_KEYS})
     metric = cfg["metric"] or default_metric(config.task)
@@ -317,7 +320,8 @@ def cmd_hpo(args) -> int:
     if not set(cfg["ablation"]) <= set(ABLATIONS):
         raise ConfigError(f"ablation names must be among {list(ABLATIONS)}, got {cfg['ablation']}")
     cfg["ablation"] = tuple(sorted(cfg["ablation"]))
-    prepared = _prepare_from(cfg)
+    # each trial re-bins at its own n_quantiles (hpo.rebinned)
+    prepared = _prepare_from(cfg, RuleNetConfig.n_quantiles)
     prep, splits = prepared.prep, prepared.splits
 
     if args.space:
@@ -445,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hpo", help="random search with successive-halving pruning")
     p.add_argument("--data", help="training CSV")
-    p.add_argument("--config", help="JSON run config, study keys included; flags override it")
+    p.add_argument("--config", help="JSON study config (see STUDY_SETTINGS); flags override it")
     p.add_argument("--space", help="JSON search-space overlay on the default box")
     p.add_argument("--trials", type=int, help="number of sampled configs (default 20)")
     p.add_argument("--workers", type=int, help="trials trained at once (default 1)")

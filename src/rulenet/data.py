@@ -238,7 +238,8 @@ def read_table(path) -> Table:
     fitted model, where the target column may legitimately be absent).
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        # utf-8-sig drops the byte-order mark spreadsheet "CSV UTF-8" exports start with
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader, None)

@@ -101,18 +101,12 @@ class FeatureEmbeddings:
 
     @classmethod
     def build(cls, prep: Preprocessing, embed_dim: int, rng, dtype) -> "FeatureEmbeddings":
-        """Draw the table block by block, in row order, into `dtype` storage."""
-        draws = []  # (rows, draw size) per block
-        for c in prep.schema.numerical_features:
-            n_q = prep.bins[c.name].n_quantiles
-            draws += [(n_q, (n_q, embed_dim)), (1, embed_dim)]
-        draws += [(c.table_size, (c.table_size, embed_dim)) for c in prep.schema.categorical_features]
-        table = np.empty((sum(rows for rows, _ in draws), embed_dim), dtype)
-        at = 0
-        for rows, size in draws:
-            table[at : at + rows] = init_normal(rng, size, embed_dim)
-            at += rows
-        return cls(prep, T.Tensor(table, requires_grad=True))
+        """Draw the whole table in one call, in row order, into `dtype` storage."""
+        schema = prep.schema
+        rows = sum(prep.bins[c.name].n_quantiles + 1 for c in schema.numerical_features)
+        rows += sum(c.table_size for c in schema.categorical_features)
+        table = init_normal(rng, (rows, embed_dim), embed_dim)
+        return cls(prep, T.Tensor(table, requires_grad=True, dtype=dtype))
 
     def parameters(self):
         yield "embed.table", self.table

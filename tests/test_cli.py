@@ -45,11 +45,13 @@ TINY = {
     "transformer_dropout": 0.0,
     "head_dropout": 0.0,
 }
+# a study samples every other model field from its space
+STUDY = {key: TINY[key] for key in ("epochs", "batch_size")}
 
 
-def _write_config(path, **extra):
+def _write_config(path, base=TINY, **extra):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({**TINY, **extra}, fh)
+        json.dump({**base, **extra}, fh)
     return str(path)
 
 
@@ -78,7 +80,8 @@ def reg_run(tmp_path_factory):
     rc = main(["train", "--data", str(data), "--config", cfg, "--out", str(out), "--seed", "7"])
     assert rc == 0
     return SimpleNamespace(
-        root=root, data=str(data), cfg=cfg, out=out, ckpt=str(out / "checkpoint.rnc")
+        root=root, data=str(data), cfg=cfg, out=out, ckpt=str(out / "checkpoint.rnc"),
+        study_cfg=_write_config(root / "study.json", STUDY),
     )
 
 
@@ -249,6 +252,21 @@ def test_config_file_not_utf8_is_a_config_error(reg_run, tmp_path, capsys):
     assert main(["train", "--data", reg_run.data, "--config", str(bad), "--out", str(tmp_path)]) == 3
     assert main(["hpo", "--data", reg_run.data, "--space", str(bad), "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.count("is not valid JSON") == 3
+
+
+def test_train_on_a_bom_file_predicts_on_the_plain_one(reg_run, tmp_path):
+    # a byte-order mark, as spreadsheet "CSV UTF-8" exports write, leaves
+    # the first column's name alone
+    plain = Path(reg_run.data)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    cfg = _write_config(tmp_path / "run.json", target=_lines(plain)[0].split(",")[0])
+    assert main(["train", "--data", str(bom), "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    ckpt = str(tmp_path / "run" / "checkpoint.rnc")
+    for data in (plain, bom):
+        out = str(tmp_path / f"pred-{data.name}")
+        assert main(["predict", "--checkpoint", ckpt, "--data", str(data), "--out", out]) == 0
+    assert (tmp_path / "pred-bom.csv").read_bytes() == (tmp_path / f"pred-{plain.name}").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +477,7 @@ def _run_hpo(reg_run, out, *extra):
     if not space.exists():
         space.write_text(json.dumps(SPACE))
     return main(
-        ["hpo", "--data", reg_run.data, "--config", reg_run.cfg, "--space", str(space),
+        ["hpo", "--data", reg_run.data, "--config", reg_run.study_cfg, "--space", str(space),
          "--trials", "4", "--rungs", "1,2", "--out", str(out), "--seed", "11", *extra]
     )
 
@@ -487,6 +505,7 @@ def test_hpo_writes_study_artifacts(reg_run, tmp_path):
 
     echoed = _read_json(out / "config.json")
     assert echoed["trials"] == 4 and echoed["rungs"] == [1, 2]
+    assert set(echoed) == set(cli.STUDY_SETTINGS)
 
 
 def test_hpo_is_deterministic(reg_run, tmp_path):
@@ -574,7 +593,7 @@ def test_hpo_replays_its_echoed_config(reg_run, tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["x", True])
 def test_hpo_bad_model_value_names_the_key(reg_run, tmp_path, capsys, value):
-    cfg = _write_config(tmp_path / "bad.json", batch_size=value)
+    cfg = _write_config(tmp_path / "bad.json", STUDY, batch_size=value)
     rc = main(["hpo", "--data", reg_run.data, "--config", cfg, "--trials", "1",
                "--rungs", "1", "--out", str(tmp_path / "s")])
     assert rc == 3
@@ -595,7 +614,7 @@ def test_hpo_bad_model_value_names_the_key(reg_run, tmp_path, capsys, value):
 def test_hpo_malformed_space_names_the_hyperparameter(reg_run, tmp_path, capsys, name, domain):
     space = tmp_path / "space.json"
     space.write_text(json.dumps({**SPACE, name: domain}))
-    rc = main(["hpo", "--data", reg_run.data, "--config", reg_run.cfg, "--space", str(space),
+    rc = main(["hpo", "--data", reg_run.data, "--config", reg_run.study_cfg, "--space", str(space),
                "--trials", "1", "--rungs", "1", "--out", str(tmp_path / "s")])
     assert rc == 3
     assert name in capsys.readouterr().err
@@ -603,7 +622,7 @@ def test_hpo_malformed_space_names_the_hyperparameter(reg_run, tmp_path, capsys,
 
 @pytest.mark.parametrize("rungs", ["0,1", "-1,2"])
 def test_hpo_rung_below_one_is_a_config_error(reg_run, tmp_path, capsys, rungs):
-    rc = main(["hpo", "--data", reg_run.data, "--config", reg_run.cfg, "--trials", "1",
+    rc = main(["hpo", "--data", reg_run.data, "--config", reg_run.study_cfg, "--trials", "1",
                f"--rungs={rungs}", "--out", str(tmp_path / "s")])
     assert rc == 3
     assert "rungs" in capsys.readouterr().err
@@ -616,18 +635,36 @@ def test_hpo_bad_rungs_flag(reg_run, tmp_path, capsys):
     assert "rungs" in capsys.readouterr().err
 
 
-def test_hpo_config_may_not_set_metric_or_dtype(reg_run, tmp_path, capsys):
-    # a study scores by the task's default metric and trains in float32
-    for key, value in (("metric", "rmse"), ("dtype", "float64")):
-        cfg = _write_config(tmp_path / f"{key}.json", **{key: value})
-        out = tmp_path / key
-        rc = main(["hpo", "--data", reg_run.data, "--config", cfg, "--trials", "1",
-                   "--rungs", "1", "--out", str(out)])
-        assert rc == 3
-        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
-        assert not out.exists()
-    resolved = resolve_run_config(reg_run.cfg, cli.STUDY_SETTINGS)
-    assert not {"metric", "dtype"} & set(resolved)
+def test_study_settings_are_the_keys_a_study_reads():
+    assert sorted(cli.STUDY_SETTINGS) == sorted(
+        ["data", "target", "fractions", "seed", "task", "n_features", "n_classes",
+         "batch_size", "epochs", "trials", "workers", "rungs", "ablation"]
+    )
+
+
+# a study scores by the task's default metric, trains in float32 and samples
+# every other model field from its space, so its config may not set them
+_UNREAD_BY_A_STUDY = {
+    "metric": "rmse",
+    "dtype": "float64",
+    **{key: getattr(RuleNetConfig, key) for key in (
+        "n_rules", "embed_dim", "encoder_layers", "decoder_layers", "n_heads", "hidden_dim",
+        "n_quantiles", "mask_rate", "rule_mask_rate", "transformer_dropout", "head_dropout",
+        "label_smoothing", "lr_dense", "lr_sparse",
+    )},
+}
+
+
+@pytest.mark.parametrize("key", sorted(_UNREAD_BY_A_STUDY))
+def test_hpo_config_may_not_set_a_key_a_study_does_not_read(reg_run, tmp_path, capsys, key):
+    cfg = _write_config(tmp_path / "study.json", STUDY, **{key: _UNREAD_BY_A_STUDY[key]})
+    out = tmp_path / "study"
+    rc = main(["hpo", "--data", reg_run.data, "--config", cfg, "--trials", "1",
+               "--rungs", "1", "--out", str(out)])
+    assert rc == 3
+    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
+    assert key in cli.RUN_SETTINGS  # train takes it
 
 
 _FAILING_STUDIES = {
@@ -641,7 +678,7 @@ def _run_failing_study(reg_run, tmp_path, case, out):
     rungs, overlay = _FAILING_STUDIES[case]
     space = tmp_path / "space.json"
     space.write_text(json.dumps({**SPACE, **overlay}))
-    return main(["hpo", "--data", reg_run.data, "--config", reg_run.cfg, "--space", str(space),
+    return main(["hpo", "--data", reg_run.data, "--config", reg_run.study_cfg, "--space", str(space),
                  "--trials", "1", f"--rungs={rungs}", "--out", str(out)])
 
 

@@ -93,6 +93,17 @@ def test_load_csv_duplicate_columns(tmp_path):
         D.load_csv(_write_csv(tmp_path / "d.csv", "a,a,y\n1,2,3\n"))
 
 
+def test_read_table_drops_a_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with one
+    text = "x,city,y\n1,a,2\n,b,4\n"
+    plain = D.read_table(_write_csv(tmp_path / "plain.csv", text))
+    bom = D.read_table(_write_csv(tmp_path / "bom.csv", "\ufeff" + text))
+    assert bom.order == plain.order == ["x", "city", "y"]
+    assert bom.columns == plain.columns
+    schema, _ = D.load_csv(tmp_path / "bom.csv", schema_hint={"x": "target"})
+    assert schema.target.name == "x"
+
+
 def test_schema_hint_overrides(tmp_path):
     p = _write_csv(tmp_path / "t.csv", "code,y\n1,0.5\n2,0.25\n", )
     schema, _ = D.load_csv(p, schema_hint={"code": "categorical"})

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rulenet import hpo
-from rulenet.data import take_rows
+from rulenet.data import prepare, take_rows
+from rulenet.datasets import step_regression, write_csv
 from rulenet.errors import ConfigError, StudyError
 from rulenet.hpo import (
     Domain,
@@ -352,6 +353,24 @@ def test_quantile_count_is_searchable():
     for col in model.prep.schema.numerical_features:
         assert model.prep.bins[col.name].n_quantiles == best.config.n_quantiles
     assert oriented(best.metric, history.best_val_metric) == best.score
+
+
+def test_study_does_not_depend_on_the_prepared_bin_count(tmp_path):
+    # what lets `rulenet hpo` prepare at a fixed bin count: each trial bins
+    # the train split at its own n_quantiles, whatever the data came with
+    header, rows = step_regression(rows=40, seed=87)
+    write_csv(tmp_path / "t.csv", header, rows)
+    space = _tiny_space(n_quantiles=Domain("choice", values=(2, 5, 48)))
+    studies = []
+    for n_q in (2, 48):
+        data = prepare(tmp_path / "t.csv", n_quantiles=n_q, seed=3)
+        _, records = run_study(
+            space, data.prep, data.splits["train"], data.splits["val"],
+            n_trials=6, seed=12, rungs=(1, 2),
+        )
+        studies.append([{**r.to_json(), "wall_time": None} for r in records])
+    assert {r["config"]["n_quantiles"] for r in studies[0]} == {2, 5, 48}
+    assert studies[0] == studies[1]
 
 
 def test_rebinned_refits_only_the_bins():
