@@ -642,17 +642,26 @@ def test_study_settings_are_the_keys_a_study_reads():
     )
 
 
-# a study scores by the task's default metric, trains in float32 and samples
-# every other model field from its space, so its config may not set them
-_UNREAD_BY_A_STUDY = {
-    "metric": "rmse",
-    "dtype": "float64",
-    **{key: getattr(RuleNetConfig, key) for key in (
-        "n_rules", "embed_dim", "encoder_layers", "decoder_layers", "n_heads", "hidden_dim",
-        "n_quantiles", "mask_rate", "rule_mask_rate", "transformer_dropout", "head_dropout",
-        "label_smoothing", "lr_dense", "lr_sparse",
-    )},
-}
+def test_hpo_config_may_not_set_metric_or_dtype(reg_run, tmp_path, capsys):
+    # a study scores by the task's default metric and trains in float32
+    for key, value in (("metric", "rmse"), ("dtype", "float64")):
+        cfg = _write_config(tmp_path / f"{key}.json", STUDY, **{key: value})
+        out = tmp_path / key
+        rc = main(["hpo", "--data", reg_run.data, "--config", cfg, "--trials", "1",
+                   "--rungs", "1", "--out", str(out)])
+        assert rc == 3
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
+    resolved = resolve_run_config(reg_run.study_cfg, cli.STUDY_SETTINGS)
+    assert not {"metric", "dtype"} & set(resolved)
+
+
+# a study samples every other model field from its space, so its config may not set them
+_UNREAD_BY_A_STUDY = {key: getattr(RuleNetConfig, key) for key in (
+    "n_rules", "embed_dim", "encoder_layers", "decoder_layers", "n_heads", "hidden_dim",
+    "n_quantiles", "mask_rate", "rule_mask_rate", "transformer_dropout", "head_dropout",
+    "label_smoothing", "lr_dense", "lr_sparse",
+)}
 
 
 @pytest.mark.parametrize("key", sorted(_UNREAD_BY_A_STUDY))
