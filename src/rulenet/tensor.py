@@ -1,9 +1,12 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
 The design is a classic explicit tape: forward ops compute with numpy and,
-when a Tape is active, append an OpRecord (op name, input and output
-tensors, saved activations). backward() replays the records in reverse,
-accumulating vector-Jacobian products into leaf gradients.
+when a Tape is active, append an OpRecord (op name, inputs, output, saved
+activations). backward() replays the records in reverse, accumulating
+vector-Jacobian products into leaf gradients. A record keeps only what its
+VJP reads: the arrays in its ctx, and a data-free Node for its output and
+for every input but a leaf that needs a gradient. So an activation that no
+VJP reads is freed as soon as the model code drops it.
 
 Only the operations the model actually needs are implemented. Two of them
 are fused: `linear` (matmul plus bias over the collapsed leading axes) and
@@ -42,7 +45,7 @@ class Tensor:
     optimizers read and reset it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -51,6 +54,8 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
+        # the tape's Node for this tensor, if a taped op produced it
+        self.node: Optional[Node] = None
 
     @property
     def shape(self) -> tuple:
@@ -67,22 +72,42 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
+class Node:
+    """A taped tensor as a record keeps it: shape, dtype and requires_grad, no data.
+
+    `mark` is the mark of the tape whose op produced it, None for an input
+    that needs no gradient.
+    """
+
+    __slots__ = ("shape", "dtype", "requires_grad", "mark")
+
+    def __init__(self, shape: tuple, dtype, requires_grad: bool, mark: Optional[object]):
+        self.shape, self.dtype, self.requires_grad, self.mark = shape, dtype, requires_grad, mark
+
+
 @dataclass
 class OpRecord:
-    """One taped operation: enough to run its VJP."""
+    """One taped operation: enough to run its VJP, with its inputs and
+    output as Tape.record keeps them."""
 
     op: str
     inputs: tuple
-    output: Tensor
+    output: Node
     ctx: tuple
 
 
 class Tape:
-    """Records ops while active (as a context manager) for one backward pass."""
+    """Records ops while active (as a context manager) for one backward pass.
+
+    Nothing links a tape's Nodes back to the tape (their `mark` is a plain
+    object), so a tape dropped without backward frees its records at once,
+    with no help from the cyclic garbage collector.
+    """
 
     def __init__(self):
         self.entries: list[OpRecord] = []
         self.consumed = False
+        self.mark = object()
 
     def __enter__(self) -> "Tape":
         if getattr(_TLS, "tape", None) is not None:
@@ -95,22 +120,37 @@ class Tape:
         return False
 
     def record(self, op: str, inputs: tuple, output: Tensor, ctx: tuple) -> None:
-        self.entries.append(OpRecord(op, inputs, output, ctx))
+        """Append op's record. It keeps an input as this tape's Node if this
+        tape produced it, as the Tensor if it is a leaf that needs a gradient
+        (an output of an earlier tape is one), and as a Node of its own
+        otherwise."""
+        mark = self.mark
+        kept = []
+        for t in inputs:
+            node = t.node
+            if node is not None and node.mark is mark:
+                kept.append(node)
+            elif t.requires_grad:
+                kept.append(t)
+            else:
+                kept.append(Node(t.data.shape, t.data.dtype, False, None))
+        output.node = Node(output.data.shape, output.data.dtype, True, mark)
+        self.entries.append(OpRecord(op, tuple(kept), output.node, ctx))
 
 
 def _keep_freed_memory_mapped() -> None:
     """Have glibc keep the memory a freed tape returns, for the next step.
 
-    A train step's tape holds a few hundred MB of activations, all freed at
-    its end. By default glibc unmaps each freed block above its mmap
-    threshold and trims the top of the heap, so the next step faults the
-    same pages back in: some 30k minor faults per step of the default
-    config. Raising the mmap threshold to the largest value glibc accepts
-    on 64-bit (32 MiB) and the trim threshold to 1 GiB keeps those pages in
-    the heap for reuse. The price is that the process keeps its heap
-    high-water mark after a step; arrays over 32 MiB are still mmapped.
-    Another platform, another libc or a failed call leaves the allocator as
-    it is.
+    A train step's tape holds a few hundred MB of activations, which the
+    backward frees record by record as it sweeps. By default glibc unmaps
+    each freed block above its mmap threshold and trims the top of the
+    heap, so the next step faults the same pages back in: some 30k minor
+    faults per step of the default config. Raising the mmap threshold to
+    the largest value glibc accepts on 64-bit (32 MiB) and the trim
+    threshold to 1 GiB keeps those pages in the heap for reuse. The price
+    is that the process keeps its heap high-water mark after a step; arrays
+    over 32 MiB are still mmapped. Another platform, another libc or a
+    failed call leaves the allocator as it is.
     """
     if platform.system() != "Linux" or platform.libc_ver()[0] != "glibc":
         return
@@ -274,14 +314,20 @@ def _vjp(name: str):
     return deco
 
 
-def _emit(op: str, inputs: tuple, out_data: np.ndarray, ctx: tuple = ()) -> Tensor:
+def _tape_for(inputs: tuple) -> Optional[Tape]:
+    """The active tape if an op on these inputs goes on it, else None."""
     tape = getattr(_TLS, "tape", None)
-    needs = tape is not None and any(t.requires_grad for t in inputs)
+    return tape if tape is not None and any(t.requires_grad for t in inputs) else None
+
+
+def _emit(op: str, inputs: tuple, out_data: np.ndarray, ctx: tuple = ()) -> Tensor:
+    tape = _tape_for(inputs)
     out = Tensor.__new__(Tensor)
     out.data = out_data
-    out.requires_grad = needs
+    out.requires_grad = tape is not None
     out.grad = None
-    if needs:
+    out.node = None
+    if tape is not None:
         tape.record(op, inputs, out, ctx)
     return out
 
@@ -336,7 +382,7 @@ def add(a: Tensor, b) -> Tensor:
 @_vjp("add")
 def _add_bwd(rec: OpRecord, g: np.ndarray):
     a, b = rec.inputs
-    return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+    return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
 
 def sub(a: Tensor, b) -> Tensor:
@@ -359,8 +405,8 @@ def mul(a: Tensor, b) -> Tensor:
 def _mul_bwd(rec: OpRecord, g: np.ndarray):
     a_data, b_data = rec.ctx
     a, b = rec.inputs
-    ga = _unbroadcast(g * b_data, a.data.shape) if a.requires_grad else None
-    gb = _unbroadcast(g * a_data, b.data.shape) if b.requires_grad else None
+    ga = _unbroadcast(g * b_data, a.shape) if a.requires_grad else None
+    gb = _unbroadcast(g * a_data, b.shape) if b.requires_grad else None
     return ga, gb
 
 
@@ -419,49 +465,46 @@ def gelu(x: Tensor) -> Tensor:
     """x * Phi(x) with the Gaussian CDF Phi, not the tanh approximation.
 
     float64, the gradient-verification dtype, takes Phi from scipy's exact
-    `ndtr`; float32 takes the rational `_phi_float32`. Phi is kept for the
-    VJP, g * (Phi + x * pdf(x)) with the exact pdf. So in float32 the VJP is
-    not the exact derivative of the forward, whose Phi is approximate. Both
-    run over the flat values, in parts (see _split).
+    `ndtr`; float32 takes the rational `_phi_float32`. Under a tape the
+    forward also computes the derivative Phi + x * pdf(x), with the exact
+    pdf, and the tape keeps only that: the VJP is one multiply. So in
+    float32 the VJP is not the exact derivative of the forward, whose Phi
+    is approximate. An untaped call computes no derivative. Both run over
+    the flat values, in parts (see _split), Phi in a part's own scratch.
     """
-    phi = np.empty(x.data.shape, dtype=x.dtype)
     out = np.empty(x.data.shape, dtype=x.dtype)
-    xf, pf, of = x.data.reshape(-1), phi.reshape(-1), out.reshape(-1)
-
-    def part(lo, hi, z2=None):
-        xs, ps, os = xf[lo:hi], pf[lo:hi], of[lo:hi]
-        if z2 is None:
-            ndtr(xs, out=ps)
-        else:  # os is z until the product overwrites it
-            _phi_float32(xs, out=ps, z=os, z2=z2[: hi - lo])
-        np.multiply(xs, ps, out=os)
-
+    d = None if _tape_for((x,)) is None else np.empty(x.data.shape, dtype=x.dtype)
+    xf, of = x.data.reshape(-1), out.reshape(-1)
+    df = None if d is None else d.reshape(-1)
+    inv_sqrt_2pi = np.asarray(_INV_SQRT_2PI, dtype=x.dtype)
     f32 = x.data.dtype == np.float32
-    _split(part, out.size, out.size, (np.float32, 1) if f32 else None)
-    return _emit("gelu", (x,), out, (x.data, phi))
+
+    def part(lo, hi, buf):
+        n = hi - lo
+        xs, os, ps = xf[lo:hi], of[lo:hi], buf[:n]
+        if f32:  # os is z until the product overwrites it
+            _phi_float32(xs, out=ps, z=os, z2=buf[n : 2 * n])
+        else:
+            ndtr(xs, out=ps)
+        np.multiply(xs, ps, out=os)
+        if df is not None:
+            # Phi + x * pdf, each step in the order of the unfused expression
+            ds = df[lo:hi]
+            np.multiply(xs, -0.5, out=ds)
+            ds *= xs
+            np.exp(ds, out=ds)
+            ds *= inv_sqrt_2pi
+            ds *= xs
+            ds += ps
+
+    _split(part, out.size, out.size, (x.dtype, 2 if f32 else 1))
+    return _emit("gelu", (x,), out, (d,))
 
 
 @_vjp("gelu")
 def _gelu_bwd(rec: OpRecord, g: np.ndarray):
-    x, phi = rec.ctx
-    # g * (Phi + x * pdf), each step in the order of the unfused expression
-    # so the bits do not change
-    d = np.empty(x.shape, dtype=x.dtype)
-    inv_sqrt_2pi = np.asarray(_INV_SQRT_2PI, dtype=x.dtype)
-    xf, pf, gf, df = x.reshape(-1), phi.reshape(-1), g.reshape(-1), d.reshape(-1)
-
-    def part(lo, hi):
-        xs, ds = xf[lo:hi], df[lo:hi]
-        np.multiply(xs, -0.5, out=ds)
-        ds *= xs
-        np.exp(ds, out=ds)
-        ds *= inv_sqrt_2pi
-        ds *= xs
-        ds += pf[lo:hi]
-        ds *= gf[lo:hi]
-
-    _split(part, d.size, d.size)
-    return (d,)
+    (d,) = rec.ctx
+    return (np.multiply(g, d),)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +635,7 @@ def _linear_bwd(rec: OpRecord, g: np.ndarray):
     if gw is not None or gb is not None:
         jobs.append(weights)
     _split(lambda lo, hi: [job() for job in jobs[lo:hi]], len(jobs), max(flat.size, g.size))
-    return None if gx is None else gx.reshape(x.data.shape), gw, gb
+    return None if gx is None else gx.reshape(x.shape), gw, gb
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +930,7 @@ def maxpool(x: Tensor, axis: int) -> Tensor:
 def _maxpool_bwd(rec: OpRecord, g: np.ndarray):
     idx, axis = rec.ctx
     (x,) = rec.inputs
-    gx = np.zeros_like(x.data)
+    gx = np.zeros(x.shape, dtype=x.dtype)
     np.put_along_axis(gx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
     return (gx,)
 
@@ -1005,7 +1048,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Populate leaf gradients for everything `loss` depends on.
 
     Gradients accumulate into Tensor.grad (+=), so callers reset grads
-    between steps. A tape can be swept once.
+    between steps. A tape can be swept once: the sweep pops each record as
+    its VJP has run, so the activations it kept are freed while the
+    gradients grow, and the tape is empty at the end.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.data.shape}")
@@ -1013,28 +1058,34 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ContractError("backward: tape already swept; record a fresh tape")
     tape.consumed = True
 
-    # id -> [tensor, gradient, owned]; an op output's entry is complete, and
-    # popped, at its own record, so what is left belongs to tensors no record
-    # produced. A VJP's array may alias another (add hands the same g to both
+    # id -> [node or leaf, gradient, owned]; an op output's entry is
+    # complete, and popped, at its own record, so what is left belongs to
+    # leaves. A VJP's array may alias another (add hands the same g to both
     # inputs; reshape and transpose return views), so sums go in place only
     # into a buffer this sweep allocated itself.
-    grads: dict[int, list] = {id(loss): [loss, np.ones_like(loss.data), True]}
-    for rec in reversed(tape.entries):
+    start = loss.node if loss.node is not None and loss.node.mark is tape.mark else loss
+    grads: dict[int, list] = {id(start): [start, np.ones_like(loss.data), True]}
+    while tape.entries:
+        rec = tape.entries.pop()
         entry = grads.pop(id(rec.output), None)
-        if entry is None:
-            continue
-        parts = _BACKWARD[rec.op](rec, entry[1])
-        for t, gi in zip(rec.inputs, parts):
-            if gi is None or not t.requires_grad:
-                continue
-            acc = grads.get(id(t))
-            if acc is None:
-                grads[id(t)] = [t, gi, False]
-            elif acc[2]:
-                acc[1] += gi
-            else:
-                acc[1], acc[2] = acc[1] + gi, True
+        if entry is not None:
+            _accumulate(grads, rec.inputs, _BACKWARD[rec.op](rec, entry[1]))
 
     for t, g, _ in grads.values():
         if t.requires_grad:
             t.grad = g if t.grad is None else t.grad + g
+
+
+def _accumulate(grads: dict, inputs: tuple, parts: tuple) -> None:
+    """Add one VJP's gradients into the sweep's entries for its inputs (a
+    function, so that a part summed away is freed before the next VJP)."""
+    for t, gi in zip(inputs, parts):
+        if gi is None or not t.requires_grad:
+            continue
+        acc = grads.get(id(t))
+        if acc is None:
+            grads[id(t)] = [t, gi, False]
+        elif acc[2]:
+            acc[1] += gi
+        else:
+            acc[1], acc[2] = acc[1] + gi, True

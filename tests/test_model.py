@@ -1,7 +1,9 @@
 import ctypes
+import gc
 import glob
 import itertools
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from rulenet.model import (
     estimate_flops,
     parameter_count,
 )
+from rulenet.training import batch_loss
 
 from helpers import feature_view, make_dataset, tiny_config, tiny_model
 from oracles import fd_gradient, max_rel_err
@@ -405,6 +408,57 @@ def test_layer0_rule_side_is_taped_once_per_batch():
         assert shapes("linear", proj.weight) == sorted([(n, e), (rows, m, e)])
     # the next layer's rule states differ from row to row
     assert shapes("linear", second.wq.weight) == [(rows, n, e)]
+
+
+def _root(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _arrays_reached(start) -> dict:
+    """id -> root array of every array reachable from start, types aside."""
+    found, seen, todo = {}, set(), [start]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            root = _root(obj)
+            found[id(root)] = root
+        else:
+            todo.extend(gc.get_referents(obj))
+    return found
+
+
+def test_tape_holds_only_what_the_vjps_read():
+    rows = 8
+    prep, enc = make_dataset(rows=rows, n_num=8, n_cat=0, n_quantiles=RuleNetConfig.n_quantiles)
+    cfg = RuleNetConfig.for_schema(prep.schema)
+    model = RuleNetModel.build(prep, cfg, seed=0, dtype=np.float32)
+    batch = D.take_rows(enc, np.arange(rows))
+    params = {id(p.data) for p in model.named_parameters().values()}
+    tracemalloc.start()
+    try:
+        with T.Tape() as tape:
+            loss = batch_loss(model, batch, model.forward(batch, "train", rng=np.random.default_rng(0)))
+        ctx = {}
+        for rec in tape.entries:
+            assert isinstance(rec.output, T.Node)
+            ctx.update(_arrays_reached(rec.ctx))
+        reached = _arrays_reached(tape.entries)
+        assert set(reached) <= params | set(ctx)
+        ctx_bytes = sum(a.nbytes for k, a in ctx.items() if k not in params)
+        del ctx, reached
+        T.backward(tape, loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # beyond what the tape keeps: the parameters' gradients (0.9 MB) and the
+    # transients of one op at a time; measured 1.35x (1.66x when the tape
+    # kept every op's output and freed nothing until the sweep ended)
+    assert peak <= 1.5 * ctx_bytes, (peak, ctx_bytes)
 
 
 def test_gradient_reaches_rule_tokens():

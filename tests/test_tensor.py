@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import platform
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import threading
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -527,6 +529,56 @@ def test_tape_entries_topologically_ordered():
                 assert any(t is o for o in outputs[:i]), f"{rec.op} reads a later output"
 
 
+def test_backward_empties_the_tape():
+    rng = np.random.default_rng(16)
+    w, bias = _param(rng, 3, 4), _param(rng, 4)
+    x = T.Tensor(rng.standard_normal((5, 3)))
+    with T.Tape() as tape:
+        loss = T.sum_all(T.gelu(T.linear(x, w, bias)))
+    assert len(tape.entries) == 3
+    T.backward(tape, loss)
+    assert tape.entries == []
+    assert w.grad is not None and bias.grad is not None
+
+
+def test_a_tape_dropped_without_backward_frees_its_activations_at_once():
+    rng = np.random.default_rng(17)
+    w, bias = _param(rng, 3, 4), _param(rng, 4)
+    x = T.Tensor(rng.standard_normal((5, 3)))
+    gc.disable()  # no cycle may hold them until a collection
+    try:
+        with T.Tape() as tape:
+            h = T.linear(x, w, bias)
+            loss = T.sum_all(T.gelu(h))
+        (derivative,) = tape.entries[1].ctx  # gelu's
+        kept, dropped = weakref.ref(derivative), weakref.ref(h.data)
+        del derivative, h, loss
+        # the linear output is no VJP's input: only the model code held it
+        assert kept() is not None and dropped() is None
+        del tape
+        assert kept() is None
+    finally:
+        gc.enable()
+
+
+def test_an_output_of_a_swept_tape_is_a_leaf_of_the_next():
+    rng = np.random.default_rng(18)
+    w = _param(rng, 3, 3)
+    with T.Tape() as first:
+        h = T.gelu(w)
+        loss = T.sum_all(h)
+    T.backward(first, loss)
+    assert h.requires_grad and h.grad is None
+    with T.Tape() as second:
+        loss = T.sum_all(T.mul(h, h))
+    (rec,) = [r for r in second.entries if r.op == "mul"]
+    assert rec.inputs[0] is h and rec.inputs[1] is h
+    w_grad = w.grad.copy()
+    T.backward(second, loss)
+    assert np.array_equal(h.grad, 2.0 * h.data)
+    assert np.array_equal(w.grad, w_grad)  # the new tape stops at h
+
+
 def test_no_recording_without_tape():
     x = T.Tensor(np.ones(3), requires_grad=True)
     out = T.scale(x, 2.0)
@@ -630,6 +682,25 @@ def test_gelu_matches_closed_form(dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_matches_closed_form_over_several_chunks(dtype):
     _assert_gelu_matches_reference((3, T._CHUNK + 1001), dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_tapes_only_its_derivative_and_keeps_its_bits_bitwise(helpers, dtype):
+    # over two parts of T._PART values: the parts run on the helpers
+    shape = (3, 2 * T._PART // 3 + 1001)
+    rng = np.random.default_rng(23)
+    x = T.Tensor(3.0 * rng.standard_normal(shape), requires_grad=True, dtype=dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    untaped = T.gelu(x).data
+    with T.Tape() as tape:
+        out = T.gelu(x)
+    (rec,) = tape.entries
+    (d,) = rec.ctx
+    assert isinstance(d, np.ndarray) and d.shape == shape
+    (gx,) = T._BACKWARD["gelu"](rec, g)
+    ref_out, ref_gx = ref_gelu(x.data, g)
+    assert np.array_equal(untaped, out.data) and np.array_equal(out.data, ref_out)
+    assert gx.dtype == dtype and np.array_equal(gx, ref_gx)
 
 
 def _layer_norm_inputs(rng, shape, dtype, view=lambda a: a):

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -383,6 +385,33 @@ def test_divergence_is_reported_with_epoch():
     with pytest.raises(DivergenceError) as err:
         t.run_until(1)
     assert err.value.epoch == 0
+
+
+def test_a_diverged_step_frees_its_tape_at_once(monkeypatch):
+    prep, tr, va, cfg = _training_setup()
+    t = Trainer(prep, tr, va, cfg, seed=6)
+    t.model.head.weight.data[:] = np.nan
+    params = {id(p.data) for p in t.model.named_parameters().values()}
+    refs = []
+
+    class Watched(T.Tape):
+        def record(self, op, inputs, output, ctx):
+            super().record(op, inputs, output, ctx)
+            refs.extend(weakref.ref(a) for a in (output.data, *ctx)
+                        if isinstance(a, np.ndarray) and id(a) not in params)
+
+    monkeypatch.setattr(T, "Tape", Watched)
+    gc.disable()  # as the benchmark's timed calls run: no cycle may hold the tape
+    try:
+        try:
+            t.run_until(1)
+        except DivergenceError:
+            pass
+        else:
+            pytest.fail("the step did not diverge")
+        assert refs and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_finalize_before_any_epoch_is_an_error():
