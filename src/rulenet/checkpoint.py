@@ -1,24 +1,39 @@
 """Bit-exact model serialization.
 
-File layout:
+File layout, format version 3 (every integer little-endian):
 
-    [8 bytes]  little-endian uint64: manifest length in bytes
-    [manifest] UTF-8 JSON: format version, config, schema + fingerprint,
+    [4 bytes]  magic b"RNCK"
+    [4 bytes]  uint32: format version
+    [4 bytes]  uint32: zlib.crc32 of every byte after these 12
+    [8 bytes]  uint64: manifest length in bytes
+    [manifest] UTF-8 JSON: tensor dtype, config, schema + fingerprint,
                preprocessing state, tensor directory (name/shape/offset)
-    [blobs]    the parameter arrays, raw little-endian floats, row-major,
-               concatenated in directory order; offsets are relative to
-               the start of this section
+    [blobs]    raw little-endian floats, row-major, at the directory's
+               offsets, which are relative to the start of this section:
+               each parameter in the model's dtype (float32 or float64),
+               then the quantile bins as the float64 section "bins"
 
-Format version 2 stores the whole feature block as one tensor,
-`embed.table`, in the row order `rulenet.embedding` documents. Version 1
-stored one tensor per feature; it is refused with a VersionError.
+The preprocessing state lists the numerical features' names in schema
+order (`bins.features`) and their counts (`bins.n_quantiles`); the "bins"
+section holds their boundaries end to end in that order, sum(n_quantiles)
+values. The whole feature block is the one tensor `embed.table`, in the
+row order `rulenet.embedding` documents.
+
+Load checks the version, then the CRC, before it parses the manifest, so
+a file cut short or with a byte changed after the header is refused (CRC32
+catches any change within 4 bytes, and misses wider damage with odds of
+about 2^-32).
+Version 2 (a uint64 manifest length, then a JSON manifest that held the
+bin boundaries and its own `format_version`) and version 1 (one tensor per
+feature) are refused with a VersionError naming their version; retrain to
+migrate.
 
 The schema fingerprint is recomputed from the stored schema on load and
-compared against the stored value, so a manifest edited after saving is
-rejected rather than silently trusted. Every other way a manifest can be
+compared against the stored value. Every other way a manifest can be
 malformed (a missing key, a value of the wrong JSON type, a config or
 preprocessing state that no model fits) is also reported as a
-CheckpointError.
+CheckpointError, and so are bin boundaries that are not finite and
+non-decreasing within each feature.
 
 Checkpoints, the CLI's JSON and CSV artifacts and study files are written
 with `atomic_open`, so a write that fails partway leaves the previous file
@@ -29,9 +44,11 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 import uuid
+import zlib
 
 import numpy as np
 
@@ -55,39 +72,42 @@ from .errors import (
 )
 from .model import RuleNetConfig, RuleNetModel
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+_MAGIC = b"RNCK"
+_HEADER = struct.Struct("<4sII")  # magic, format version, CRC32 of the rest
+_LENGTH = struct.Struct("<Q")  # manifest length, the first bytes the CRC covers
+_BINS = "bins"  # the directory entry of the float64 bin boundaries
 
 _DTYPE_CODES = {"float32": "<f4", "float64": "<f8"}
 
 
 def save_checkpoint(model: RuleNetModel, path) -> None:
-    params = model.named_parameters()
     dtype_name = np.dtype(model.dtype).name
     code = _DTYPE_CODES[dtype_name]
-    itemsize = np.dtype(code).itemsize
+    prep = model.prep
+    sections = [(name, np.ascontiguousarray(t.data, dtype=code)) for name, t in model.named_parameters().items()]
+    features = [c.name for c in prep.schema.numerical_features]
+    bins = [prep.bins[name] for name in features]
+    boundaries = np.concatenate([np.empty(0), *(b.boundaries for b in bins)])  # maybe no bins
+    sections.append((_BINS, boundaries.astype("<f8", copy=False)))
 
     directory = []
     blobs = []
     offset = 0
-    for name, t in params.items():
-        raw = np.ascontiguousarray(t.data, dtype=code).tobytes()
-        directory.append({"name": name, "shape": list(t.data.shape), "offset": offset})
+    for name, a in sections:
+        raw = a.tobytes()
+        directory.append({"name": name, "shape": list(a.shape), "offset": offset})
         blobs.append(raw)
         offset += len(raw)
-        assert len(raw) == t.data.size * itemsize
 
-    prep = model.prep
     manifest = {
-        "format_version": FORMAT_VERSION,
         "dtype": dtype_name,
         "config": model.config.to_json(),
         "schema": prep.schema.to_json(),
         "schema_fingerprint": prep.schema.fingerprint(),
         "preprocessing": {
-            "bins": {
-                name: {"boundaries": b.boundaries.tolist(), "n_quantiles": b.n_quantiles}
-                for name, b in prep.bins.items()
-            },
+            "bins": {"features": features, "n_quantiles": [b.n_quantiles for b in bins]},
             "normalizer": (
                 None
                 if prep.normalizer is None
@@ -101,11 +121,14 @@ def save_checkpoint(model: RuleNetModel, path) -> None:
         "tensors": directory,
     }
     payload = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
+    body = [_LENGTH.pack(len(payload)), payload, *blobs]
+    crc = 0
+    for part in body:
+        crc = zlib.crc32(part, crc)
     with atomic_open(path, binary=True) as fh:
-        fh.write(struct.pack("<Q", len(payload)))
-        fh.write(payload)
-        for raw in blobs:
-            fh.write(raw)
+        fh.write(_HEADER.pack(_MAGIC, FORMAT_VERSION, crc))
+        for part in body:
+            fh.write(part)
 
 
 @contextlib.contextmanager
@@ -148,24 +171,31 @@ def load_checkpoint(path) -> RuleNetModel:
     except OSError as e:
         raise CheckpointError(f"cannot read {path}: {e}") from e
 
-    if len(data) < 8:
-        raise TruncationError(f"{path}: file too short for the length header")
-    (manifest_len,) = struct.unpack("<Q", data[:8])
-    if manifest_len > len(data) - 8:
+    start = _HEADER.size + _LENGTH.size  # of the manifest
+    if len(data) < start:
+        raise TruncationError(f"{path}: file too short for the header")
+    magic, version, crc = _HEADER.unpack_from(data)
+    if magic != _MAGIC:
+        version = _legacy_version(data)
+        if version is None:
+            raise CheckpointError(f"{path}: not a rulenet checkpoint")
+    if version != FORMAT_VERSION:
+        raise VersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
+    (manifest_len,) = _LENGTH.unpack_from(data, _HEADER.size)
+    if manifest_len > len(data) - start:
         raise TruncationError(
             f"{path}: header claims a {manifest_len}-byte manifest, "
-            f"only {len(data) - 8} bytes follow"
+            f"only {len(data) - start} bytes follow"
         )
+    if zlib.crc32(memoryview(data)[_HEADER.size :]) != crc:
+        raise CheckpointError(f"{path}: checksum mismatch: the file is corrupt or cut short")
     try:
-        manifest = json.loads(data[8 : 8 + manifest_len].decode("utf-8"))
+        manifest = json.loads(data[start : start + manifest_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: manifest is not valid JSON: {e}") from e
 
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{path}: manifest is not a JSON object")
-    version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
-        raise VersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
     _check_manifest(manifest, path)
 
     schema = DatasetSchema.from_json(manifest["schema"])
@@ -179,19 +209,36 @@ def load_checkpoint(path) -> RuleNetModel:
     if dtype_name not in _DTYPE_CODES:
         raise CheckpointError(f"{path}: unsupported tensor dtype {dtype_name!r}")
     code = _DTYPE_CODES[dtype_name]
-    itemsize = np.dtype(code).itemsize
 
     pp = manifest["preprocessing"]
-    if set(pp["bins"]) != {c.name for c in schema.numerical_features}:
+    features, n_quantiles = pp["bins"]["features"], pp["bins"]["n_quantiles"]
+    if features != [c.name for c in schema.numerical_features]:
         raise CheckpointError(f"{path}: quantile bins do not match the numerical features")
     if (pp["normalizer"] is None) == (schema.task == TASK_REGRESSION):
         raise CheckpointError(f"{path}: a target normalizer belongs to regression checkpoints only")
+
+    directory = {entry["name"]: entry for entry in manifest["tensors"]}
+    blob_start = start + manifest_len
+
+    def section(name, shape, code):
+        """The directory's section `name` as a new array of `shape`."""
+        if name not in directory:
+            raise CheckpointError(f"{path}: tensor directory has no {name!r}")
+        stored, offset = directory[name].get("shape"), directory[name].get("offset")
+        if type(stored) is not list or tuple(stored) != shape:
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {stored}, model expects {shape}")
+        if type(offset) is not int or offset < 0:
+            raise CheckpointError(f"{path}: tensor {name!r} has offset {offset!r}")
+        size = math.prod(shape)
+        lo = blob_start + offset
+        if lo + size * np.dtype(code).itemsize > len(data):
+            raise TruncationError(f"{path}: tensor {name!r} extends past end of file")
+        return np.frombuffer(data, code, size, lo).reshape(shape).copy()
+
     try:
         schema.validate()
-        bins = {
-            name: QuantileBins(name, np.asarray(b["boundaries"], dtype=np.float64), b["n_quantiles"])
-            for name, b in pp["bins"].items()
-        }
+        boundaries = section(_BINS, (sum(n_quantiles),), "<f8")
+        bins = QuantileBins.split(features, n_quantiles, boundaries)
         normalizer = None
         if pp["normalizer"] is not None:
             nz = pp["normalizer"]
@@ -201,32 +248,30 @@ def load_checkpoint(path) -> RuleNetModel:
         dtype = np.dtype(dtype_name).type
         model = RuleNetModel(prep, config, _Unfilled(dtype), dtype)
     except (ConfigError, ContractError, SchemaError) as e:
-        raise CheckpointError(f"{path}: manifest describes no valid model: {e}") from e
+        raise CheckpointError(f"{path}: checkpoint describes no valid model: {e}") from e
     params = model.named_parameters()
 
-    directory = {entry["name"]: entry for entry in manifest["tensors"]}
     missing = set(params) - set(directory)
-    extra = set(directory) - set(params)
+    extra = set(directory) - set(params) - {_BINS}
     if missing or extra:
         raise CheckpointError(
             f"{path}: tensor directory mismatch (missing {sorted(missing)}, extra {sorted(extra)})"
         )
-
-    blob_start = 8 + manifest_len
     for name, t in params.items():
-        shape, offset = directory[name].get("shape"), directory[name].get("offset")
-        if type(shape) is not list or tuple(shape) != t.data.shape:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {shape}, model expects {t.data.shape}"
-            )
-        if type(offset) is not int or offset < 0:
-            raise CheckpointError(f"{path}: tensor {name!r} has offset {offset!r}")
-        lo = blob_start + offset
-        hi = lo + t.data.size * itemsize
-        if hi > len(data):
-            raise TruncationError(f"{path}: tensor {name!r} extends past end of file")
-        t.data = np.frombuffer(data, code, t.data.size, lo).reshape(t.data.shape).copy()
+        t.data = section(name, t.data.shape, code)
     return model
+
+
+def _legacy_version(data: bytes):
+    """The format_version a version 1 or 2 file states, or None if `data`
+    is not one: those began with a uint64 manifest length and a JSON
+    manifest that held the version."""
+    try:
+        (n,) = _LENGTH.unpack_from(data)
+        version = json.loads(data[_LENGTH.size : _LENGTH.size + n]).get("format_version")
+    except (ValueError, AttributeError):  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        return None
+    return version if type(version) is int else None
 
 
 class _Unfilled:
@@ -280,13 +325,12 @@ def _check_manifest(m: dict, path) -> None:
 
     pp = m.get("preprocessing")
     need(of(pp, dict) and of(pp.get("bins"), dict), "preprocessing has no bins")
+    features, n_quantiles = pp["bins"].get("features"), pp["bins"].get("n_quantiles")
     need(
-        all(
-            of(b, dict) and all_of(b.get("boundaries"), int, float) and of(b.get("n_quantiles"), int)
-            for b in pp["bins"].values()
-        ),
-        "quantile bins lack their boundaries or count",
+        all_of(features, str) and all_of(n_quantiles, int) and len(features) == len(n_quantiles),
+        "quantile bins lack their feature names or counts",
     )
+    need(min(n_quantiles, default=2) >= 2, "a feature has fewer than 2 quantiles")
     need("normalizer" in pp, "preprocessing has no normalizer entry")
     nz = pp["normalizer"]
     need(

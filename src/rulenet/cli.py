@@ -329,6 +329,14 @@ def cmd_hpo(args) -> int:
         space = SearchSpace.from_json(space_obj, batch_size=cfg["batch_size"])
         if "epochs" not in space_obj:
             space = space.pin("epochs", cfg["epochs"])
+        # the space's domain replaces the config's value: echo the value a
+        # fixed domain gives every trial, and none for a searched one
+        for key in set(space_obj) & {"batch_size", "epochs"}:
+            domain = space.domains[key]
+            if domain.kind == "fixed":
+                cfg[key] = domain.values[0]
+            else:
+                del cfg[key]
     else:
         space = SearchSpace.table_default(batch_size=cfg["batch_size"], epochs=cfg["epochs"])
 

@@ -184,6 +184,10 @@ _BACKWARD: dict[str, Callable] = {}
 # 128 KiB each in float32, stay in a core's L2 cache (one unblocked reduce
 # of _column_sums ran 1.1-1.5x slower at [256, 64, 64])
 _CHUNK = 1 << 15
+# _column_sums reduces an input below this many bytes at once: its product
+# then fits in L2, and blocking only costs (one reduce ran 0.75-0.95x the
+# blocked time at [256, 8, 64] float32, 1.05-1.6x at 1 MiB and over)
+_ONE_REDUCE_BYTES = 1 << 20
 # values per part of a kernel split over threads: each numpy call of a part
 # covers up to this many, so that handing the GIL from thread to thread costs
 # little next to the call (with _CHUNK-sized calls two threads ran slower
@@ -783,11 +787,13 @@ def _layer_norm_bwd(rec: OpRecord, g: np.ndarray):
 
 
 def _column_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sums of a * b over every axis but the last, added row after row (in
-    the order of one np.add.reduce over all rows), a cache-sized block of
-    the leading axis at a time: row 0 of each block carries the sum of the
-    earlier blocks."""
+    """Sums of a * b over every axis but the last, added row after row: one
+    np.add.reduce over all rows, or from _ONE_REDUCE_BYTES on, the same
+    order a cache-sized block of the leading axis at a time, where row 0 of
+    each block carries the sum of the earlier blocks."""
     width = a.shape[-1]
+    if a.nbytes < _ONE_REDUCE_BYTES:
+        return np.add.reduce(np.multiply(a, b).reshape(-1, width), axis=0)
     total = None
     for lo, hi in _ranges(a.shape[0], a.size, _CHUNK):
         block = a[lo:hi]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import numpy as np
 
 from rulenet import data as D
@@ -70,6 +73,15 @@ def tiny_model(seed=0, dtype=np.float64, task="regression", rows=8, missing_rate
     model = RuleNetModel.build(prep, cfg, seed=seed, dtype=dtype)
     batch = D.take_rows(enc, np.arange(min(rows, enc.n_rows)))
     return model, batch
+
+
+def checkpoint_file(manifest: bytes, blobs: bytes = b"", version: int = 3, manifest_len=None) -> bytes:
+    """A format 3 checkpoint of these manifest and blob bytes, signed: the
+    header's CRC32 is that of every byte after it. `version` and
+    `manifest_len` (default: len(manifest)) set what the file states."""
+    stated = len(manifest) if manifest_len is None else manifest_len
+    body = struct.pack("<Q", stated) + manifest + blobs
+    return struct.pack("<4sII", b"RNCK", version, zlib.crc32(body)) + body
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,17 @@ row, the way RuleNetModel.decoder_forward did before that layer took the
 shared [N, e] tokens. `softmax` is a taped softmax op for the unfused
 chain that attention_probs is checked against: it runs rulenet.tensor's own
 softmax kernels and registers its VJP with the library's, as "softmax".
+`read_checkpoint` reads a format 3 checkpoint with struct, zlib and json
+alone, from the layout the rulenet.checkpoint docstring gives.
 """
 
 from __future__ import annotations
 
 import bisect
+import json
 import math
+import struct
+import zlib
 
 import numpy as np
 from scipy.special import ndtr
@@ -385,3 +390,29 @@ def decoder_forward_per_row(model, encoded, rules, rng=None):
     for layer in model.decoder:
         x = layer(x, encoded, model.config.transformer_dropout, rng)
     return x
+
+
+def read_checkpoint(data: bytes) -> tuple[dict, dict, dict]:
+    """(manifest, parameter name -> its raw bytes, feature -> the raw bytes
+    of its bin boundaries) of a format 3 checkpoint. Asserts the magic, the
+    version and the CRC32 of every byte after the 12-byte header."""
+    magic, version, crc = struct.unpack_from("<4sII", data)
+    assert (magic, version) == (b"RNCK", 3)
+    assert zlib.crc32(data[12:]) == crc
+    (manifest_len,) = struct.unpack_from("<Q", data, 12)
+    manifest = json.loads(data[20 : 20 + manifest_len].decode("utf-8"))
+    blobs = data[20 + manifest_len :]
+    itemsize = {"float32": 4, "float64": 8}[manifest["dtype"]]
+    sections = {}
+    for entry in manifest["tensors"]:
+        width = 8 if entry["name"] == "bins" else itemsize  # the bins are always float64
+        size = width * math.prod(entry["shape"])
+        sections[entry["name"]] = blobs[entry["offset"] : entry["offset"] + size]
+        assert len(sections[entry["name"]]) == size
+    raw, bins, at = sections.pop("bins"), {}, 0
+    listed = manifest["preprocessing"]["bins"]
+    for name, n_q in zip(listed["features"], listed["n_quantiles"]):
+        bins[name] = raw[8 * at : 8 * (at + n_q)]
+        at += n_q
+    assert 8 * at == len(raw)
+    return manifest, sections, bins

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 import rulenet.checkpoint as ckpt
 from rulenet.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
+from rulenet.data import Preprocessing, QuantileBins, TargetNormalizer
+from rulenet.model import RuleNetModel
 from rulenet.errors import (
     CheckpointError,
     FingerprintError,
@@ -19,7 +21,8 @@ from rulenet.errors import (
     VersionError,
 )
 
-from helpers import tiny_model
+from helpers import checkpoint_file, make_dataset, tiny_config, tiny_model
+from oracles import read_checkpoint
 
 
 @pytest.fixture()
@@ -30,14 +33,25 @@ def saved(tmp_path):
     return model, batch, path
 
 
-def _rewrite_manifest(path, mutate):
-    """Edit the manifest JSON in place, fixing the length prefix."""
-    data = path.read_bytes()
-    (mlen,) = struct.unpack("<Q", data[:8])
-    manifest = json.loads(data[8 : 8 + mlen])
-    mutate(manifest)
+def _parts(data: bytes) -> tuple[dict, bytes]:
+    """(manifest, blob bytes) of a format 3 checkpoint."""
+    (mlen,) = struct.unpack_from("<Q", data, 12)
+    return json.loads(data[20 : 20 + mlen]), data[20 + mlen :]
+
+
+def _rewrite(path, mutate):
+    """Edit the file in place with mutate(manifest, blobs), blobs a
+    bytearray, and sign it again, so that the edit reaches the checks
+    after the checksum."""
+    manifest, blobs = _parts(path.read_bytes())
+    blobs = bytearray(blobs)
+    mutate(manifest, blobs)
     payload = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
-    path.write_bytes(struct.pack("<Q", len(payload)) + payload + data[8 + mlen :])
+    path.write_bytes(checkpoint_file(payload, bytes(blobs)))
+
+
+def _rewrite_manifest(path, mutate):
+    _rewrite(path, lambda m, _: mutate(m))
 
 
 def test_round_trip_is_bit_exact(saved):
@@ -138,37 +152,80 @@ def test_file_shorter_than_header(saved):
 
 def test_header_overstates_manifest(saved):
     _, _, path = saved
-    path.write_bytes(struct.pack("<Q", 10**9) + b"{}")
+    path.write_bytes(checkpoint_file(b"{}", manifest_len=10**9))
     with pytest.raises(TruncationError):
         load_checkpoint(path)
 
 
 def test_truncated_blob_section(saved):
+    # signed again after the cut, so that the tensor extents are what refuse it
     _, _, path = saved
-    data = path.read_bytes()
-    path.write_bytes(data[:-16])
+    manifest, blobs = _parts(path.read_bytes())
+    path.write_bytes(checkpoint_file(json.dumps(manifest).encode("utf-8"), blobs[:-16]))
     with pytest.raises(TruncationError, match="past end"):
+        load_checkpoint(path)
+
+
+def test_file_cut_short_fails_its_checksum(saved):
+    _, _, path = saved
+    path.write_bytes(path.read_bytes()[:-16])
+    with pytest.raises(CheckpointError, match="checksum"):
+        load_checkpoint(path)
+
+
+def test_flipped_weight_byte_is_a_checkpoint_error(saved):
+    """A changed weight byte used to load, and put a weight of about 1e37
+    into every prediction."""
+    _, _, path = saved
+    data = bytearray(path.read_bytes())
+    (mlen,) = struct.unpack_from("<Q", data, 12)
+    data[20 + mlen + 3] ^= 0x40
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="checksum"):
         load_checkpoint(path)
 
 
 def test_garbage_manifest(saved):
     _, _, path = saved
-    path.write_bytes(struct.pack("<Q", 5) + b"ruleN" + b"\x00" * 64)
+    path.write_bytes(checkpoint_file(b"ruleN", b"\x00" * 64))
     with pytest.raises(CheckpointError, match="JSON"):
         load_checkpoint(path)
 
 
 def test_future_version_is_refused(saved):
-    # so is the previous version, which stored one tensor per feature
+    # so is the previous version, stated in a version 3 header
     _, _, path = saved
+    manifest, blobs = _parts(path.read_bytes())
+    payload = json.dumps(manifest).encode("utf-8")
     for version in (FORMAT_VERSION + 1, FORMAT_VERSION - 1):
-
-        def stamp(m):
-            m["format_version"] = version
-
-        _rewrite_manifest(path, stamp)
+        path.write_bytes(checkpoint_file(payload, blobs, version=version))
         with pytest.raises(VersionError, match=f"format version {version}, expected"):
             load_checkpoint(path)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_version_1_or_2_file_is_refused_naming_both_versions(saved, version):
+    """Those files began with the manifest length, and their manifest held
+    the version and, in version 2, each feature's bin boundaries."""
+    _, _, path = saved
+    manifest, blobs = _parts(path.read_bytes())
+    listed = manifest["preprocessing"]["bins"]
+    manifest = {"format_version": version, **manifest}
+    manifest["preprocessing"]["bins"] = {
+        name: {"boundaries": [0.0] * n_q, "n_quantiles": n_q}
+        for name, n_q in zip(listed["features"], listed["n_quantiles"])
+    }
+    payload = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(struct.pack("<Q", len(payload)) + payload + blobs)  # the version 2 layout
+    with pytest.raises(VersionError, match=f"format version {version}, expected {FORMAT_VERSION}"):
+        load_checkpoint(path)
+
+
+def test_file_of_another_kind_is_a_checkpoint_error(tmp_path):
+    path = tmp_path / "model.rnc"
+    path.write_bytes(b"PK\x03\x04" + b"\x00" * 60)
+    with pytest.raises(CheckpointError, match="not a rulenet checkpoint"):
+        load_checkpoint(path)
 
 
 def test_tampered_schema_is_refused(saved):
@@ -226,41 +283,53 @@ def _set(manifest, path, value):
     _holder(manifest, path)[path[-1]] = value
 
 
-def _first_boundary(manifest, i):
-    """Key path of boundary i of the first numerical feature's bins."""
-    return ("preprocessing", "bins", next(iter(manifest["preprocessing"]["bins"])), "boundaries", i)
+def _set_boundary(i, value):
+    """A mutation that stores `value` as boundary i of the first numerical
+    feature, in the float64 bins section."""
+
+    def mutate(manifest, blobs):
+        at = next(e["offset"] for e in manifest["tensors"] if e["name"] == "bins")
+        i_ = i % manifest["preprocessing"]["bins"]["n_quantiles"][0]
+        struct.pack_into("<d", blobs, at + 8 * i_, value)
+
+    return mutate
 
 
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda m: m.pop("schema"),
-        lambda m: _set(m, ("schema",), [m["schema"]]),
-        lambda m: m.pop("config"),
-        lambda m: m["config"].pop("n_features"),
-        lambda m: _set(m, ("config", "n_rules"), "many"),
-        lambda m: _set(m, ("preprocessing", "bins"), {}),
-        lambda m: _set(m, ("preprocessing", "normalizer"), None),
-        lambda m: _set(m, ("tensors", 0, "offset"), -8),
-        lambda m: _set(m, _first_boundary(m, 0), math.nan),
-        lambda m: _set(m, _first_boundary(m, -1), math.inf),
+        lambda m, _: m.pop("schema"),
+        lambda m, _: _set(m, ("schema",), [m["schema"]]),
+        lambda m, _: m.pop("config"),
+        lambda m, _: m["config"].pop("n_features"),
+        lambda m, _: _set(m, ("config", "n_rules"), "many"),
+        lambda m, _: _set(m, ("preprocessing", "bins"), {}),
+        lambda m, _: _set(m, ("preprocessing", "normalizer"), None),
+        lambda m, _: _set(m, ("tensors", 0, "offset"), -8),
+        _set_boundary(0, math.nan),
+        _set_boundary(-1, math.inf),
+        _set_boundary(0, 1e300),
+        lambda m, _: _set(m, ("preprocessing", "bins", "n_quantiles", 0), 1),
+        lambda m, _: m["preprocessing"]["bins"]["features"].reverse(),
+        lambda m, _: m["tensors"].pop(),
     ],
     ids=[
         "no-schema", "list-schema", "no-config", "no-n_features", "string-n_rules",
         "no-bins", "no-normalizer", "negative-offset", "nan-bin", "infinite-bin",
+        "decreasing-bin", "one-quantile", "bins-out-of-order", "no-bins-section",
     ],
 )
 def test_malformed_manifest_is_a_checkpoint_error(saved, mutate):
+    # the *-bin cases edit the bins section, not the manifest
     _, _, path = saved
-    _rewrite_manifest(path, mutate)
+    _rewrite(path, mutate)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
 
 def test_top_level_json_list_is_a_checkpoint_error(saved):
     _, _, path = saved
-    payload = b"[1, 2]"
-    path.write_bytes(struct.pack("<Q", len(payload)) + payload)
+    path.write_bytes(checkpoint_file(b"[1, 2]"))
     with pytest.raises(CheckpointError, match="object"):
         load_checkpoint(path)
 
@@ -270,9 +339,8 @@ def manifest_and_blobs(tmp_path_factory):
     model, _ = tiny_model(seed=33, dtype=np.float32, missing_rate=0.2)
     path = tmp_path_factory.mktemp("fuzz") / "model.rnc"
     save_checkpoint(model, path)
-    data = path.read_bytes()
-    (mlen,) = struct.unpack("<Q", data[:8])
-    return path, data[8 : 8 + mlen].decode("utf-8"), data[8 + mlen :]
+    manifest, blobs = _parts(path.read_bytes())
+    return path, json.dumps(manifest), blobs
 
 
 def _json_paths(node, prefix=()):
@@ -288,6 +356,7 @@ _JSON_VALUES = st.sampled_from([None, True, 0, 2, -1, 1.5, "x", [], {}, [1, 2], 
 @settings(max_examples=200, deadline=None)
 @given(where=st.integers(min_value=0), delete=st.booleans(), value=_JSON_VALUES)
 def test_mutated_manifest_loads_or_is_a_checkpoint_error(manifest_and_blobs, where, delete, value):
+    # each edited file is signed again, so that it reaches the manifest checks
     path, text, blobs = manifest_and_blobs
     manifest = json.loads(text)
     paths = list(_json_paths(manifest))
@@ -298,8 +367,7 @@ def test_mutated_manifest_loads_or_is_a_checkpoint_error(manifest_and_blobs, whe
         del _holder(manifest, target)[target[-1]]
     else:
         _set(manifest, target, value)
-    payload = json.dumps(manifest).encode("utf-8")
-    path.write_bytes(struct.pack("<Q", len(payload)) + payload + blobs)
+    path.write_bytes(checkpoint_file(json.dumps(manifest).encode("utf-8"), blobs))
     try:
         load_checkpoint(path)
     except CheckpointError:
@@ -311,13 +379,14 @@ def test_mutated_manifest_loads_or_is_a_checkpoint_error(manifest_and_blobs, whe
 def test_truncated_or_byte_flipped_file_loads_or_is_a_checkpoint_error(
     manifest_and_blobs, data, truncate
 ):
-    """Cut the file at any offset, or flip any one byte of it. Offsets come
-    as often from the header and manifest as from the whole file, since a
-    flipped weight byte loads cleanly (the blobs carry no checksum)."""
+    """Cut the file at any offset, or flip any one byte of it: every such
+    file is a CheckpointError, since the header's CRC32 covers every byte
+    after it. Offsets come as often from the header and manifest as from
+    the whole file."""
     path, text, blobs = manifest_and_blobs
     payload = text.encode("utf-8")
-    raw = struct.pack("<Q", len(payload)) + payload + blobs
-    head = 8 + len(payload)
+    raw = checkpoint_file(payload, blobs)
+    head = 20 + len(payload)
     at = data.draw(st.integers(0, head - 1) | st.integers(0, len(raw) - 1), label="offset")
     if truncate:
         raw = raw[:at]
@@ -325,7 +394,89 @@ def test_truncated_or_byte_flipped_file_loads_or_is_a_checkpoint_error(
         flip = data.draw(st.integers(1, 255), label="xor")
         raw = raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1 :]
     path.write_bytes(raw)
-    try:
+    with pytest.raises(CheckpointError):
         load_checkpoint(path)
-    except CheckpointError:
-        pass
+
+
+# ---------------------------------------------------------------------------
+# the format, read by an independent reader, and bitwise round trips
+
+
+def _check_against_the_oracle_reader(model, data: bytes) -> None:
+    """tests/oracles.read_checkpoint finds every weight and boundary bitwise."""
+    manifest, tensors, bins = read_checkpoint(data)
+    code = {"float32": "<f4", "float64": "<f8"}[manifest["dtype"]]
+    params = model.named_parameters()
+    assert list(tensors) == list(params)
+    for name, t in params.items():
+        assert tensors[name] == np.ascontiguousarray(t.data, dtype=code).tobytes(), name
+    assert list(bins) == list(model.prep.bins)
+    for name, b in model.prep.bins.items():
+        assert bins[name] == b.boundaries.astype("<f8").tobytes(), name
+
+
+def test_independent_reader_finds_every_weight_and_boundary(saved):
+    model, _, path = saved
+    _check_against_the_oracle_reader(model, path.read_bytes())
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+_BOUNDARY = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    data=st.data(),
+    n_num=st.integers(0, 4),
+    n_quantiles=st.integers(2, 9),
+    task=st.sampled_from(["regression", "classification"]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+)
+def test_round_trip_is_bitwise_and_saves_the_same_bytes_again(
+    tmp_path_factory, data, n_num, n_quantiles, task, dtype, seed
+):
+    """Boundaries and normalizer drawn over all finite float64 values (ties
+    and -0.0 included). A model takes one n_quantiles for every feature, so
+    the count varies between draws; QuantileBins.split is checked on mixed
+    counts in test_data."""
+    prep, _ = make_dataset(rows=12, n_num=n_num, task=task, seed=seed, n_quantiles=n_quantiles)
+    bins = {
+        name: QuantileBins(name, np.array(sorted(data.draw(st.lists(_BOUNDARY, min_size=n_quantiles,
+                                                                     max_size=n_quantiles)))), n_quantiles)
+        for name in prep.bins
+    }
+    normalizer = None
+    if task == "regression":
+        normalizer = TargetNormalizer(*(data.draw(_BOUNDARY) for _ in range(3)))
+    prep = Preprocessing(prep.schema, bins, normalizer)
+    model = RuleNetModel.build(prep, tiny_config(prep, n_quantiles=n_quantiles), seed=seed, dtype=dtype)
+    path = tmp_path_factory.mktemp("round-trip") / "model.rnc"
+    save_checkpoint(model, path)
+    saved_bytes = path.read_bytes()
+    _check_against_the_oracle_reader(model, saved_bytes)
+
+    loaded = load_checkpoint(path)
+    want, got = model.named_parameters(), loaded.named_parameters()
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].data.dtype == want[name].data.dtype, name
+        assert got[name].data.tobytes() == want[name].data.tobytes(), name
+    assert list(loaded.prep.bins) == list(bins)
+    for name, b in bins.items():
+        assert loaded.prep.bins[name].n_quantiles == b.n_quantiles
+        assert loaded.prep.bins[name].boundaries.tobytes() == b.boundaries.tobytes(), name
+    if normalizer is None:
+        assert loaded.prep.normalizer is None
+    else:
+        nz = loaded.prep.normalizer
+        assert [_bits(v) for v in (nz.mean, nz.std, nz.eps)] == [
+            _bits(v) for v in (normalizer.mean, normalizer.std, normalizer.eps)
+        ]
+    assert loaded.config == model.config
+
+    save_checkpoint(loaded, path)
+    assert path.read_bytes() == saved_bytes

@@ -591,6 +591,40 @@ def test_hpo_replays_its_echoed_config(reg_run, tmp_path, capsys):
     assert capsys.readouterr().err.count("['ablation', 'rungs', 'trials', 'workers']") == 2
 
 
+@pytest.mark.parametrize(
+    "overlay,echo",
+    [
+        ({"batch_size": {"kind": "fixed", "values": [8]}, "epochs": {"kind": "fixed", "values": [1]}},
+         {"batch_size": 8, "epochs": 1}),
+        ({"batch_size": {"kind": "choice", "values": [8, 12]}}, {"epochs": 2}),
+    ],
+    ids=["pinned", "searched"],
+)
+def test_hpo_echo_holds_what_the_space_gave_batch_size_and_epochs(reg_run, tmp_path, overlay, echo):
+    """The study config sets batch_size 16 and epochs 2, which a space
+    that sets either key replaces: config.json echoes the value a fixed
+    domain gives every trial and leaves out a searched key, and replays."""
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({**SPACE, **overlay}))
+    out1, out2 = tmp_path / "s1", tmp_path / "s2"
+    argv = ["--space", str(space), "--trials", "2", "--rungs", "1", "--seed", "11"]
+    assert main(["hpo", "--data", reg_run.data, "--config", reg_run.study_cfg, *argv, "--out", str(out1)]) == 0
+    echoed = _read_json(out1 / "config.json")
+    assert {key: echoed[key] for key in ("batch_size", "epochs") if key in echoed} == echo
+    used = [json.loads(line)["config"] for line in _lines(out1 / "trials.jsonl")]
+    for key, value in echo.items():
+        assert {config[key] for config in used} == {value}
+
+    assert main(["hpo", "--config", str(out1 / "config.json"), *argv, "--out", str(out2)]) == 0
+    for name in ("best.json", "sensitivity.json", "config.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def stripped(path):
+        return [{**json.loads(line), "wall_time": None} for line in _lines(path / "trials.jsonl")]
+
+    assert stripped(out1) == stripped(out2)
+
+
 @pytest.mark.parametrize("value", ["x", True])
 def test_hpo_bad_model_value_names_the_key(reg_run, tmp_path, capsys, value):
     cfg = _write_config(tmp_path / "bad.json", STUDY, batch_size=value)

@@ -225,6 +225,50 @@ def test_quantile_bins_reject_non_finite_boundaries(bad):
         D.QuantileBins("f", np.array(bad), 3)
 
 
+_FEATURE_BINS = st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=6).map(sorted),
+    max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(per_feature=_FEATURE_BINS, data=st.data())
+def test_quantile_bins_split_matches_one_construction_per_feature(per_feature, data):
+    """Mixed counts, features whose ranges overlap, and at times one spoiled
+    boundary: split's one vectorized check accepts what building each
+    feature's QuantileBins accepts, gives the same bins, and refuses the
+    rest with the same message."""
+    names = [f"f{i}" for i in range(len(per_feature))]
+    counts = [len(b) for b in per_feature]
+    flat = np.array([v for b in per_feature for v in b], dtype=np.float64)
+    if per_feature and data.draw(st.booleans(), label="spoil"):
+        at = data.draw(st.integers(0, len(flat) - 1), label="at")
+        flat[at] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, -1.7e308]), label="value")
+    try:
+        want, lo = {}, 0
+        for name, n in zip(names, counts):
+            want[name] = D.QuantileBins(name, flat[lo : lo + n].copy(), n)
+            lo += n
+    except ConfigError as e:
+        with pytest.raises(ConfigError) as refused:
+            D.QuantileBins.split(names, counts, flat)
+        assert str(refused.value) == str(e)
+        return
+    got = D.QuantileBins.split(names, counts, flat)
+    assert list(got) == names
+    for name, b in want.items():
+        assert (got[name].feature, got[name].n_quantiles) == (b.feature, b.n_quantiles)
+        assert got[name].boundaries.tobytes() == b.boundaries.tobytes()
+
+
+@pytest.mark.parametrize(
+    "counts,match", [([3, 1], "n_quantiles >= 2"), ([3, 4], "2 features: 6 boundaries for n_quantiles=7")]
+)
+def test_quantile_bins_split_refuses_counts_that_do_not_fit(counts, match):
+    with pytest.raises(ConfigError, match=match):
+        D.QuantileBins.split(["a", "b"], counts, np.arange(6.0))
+
+
 def _segment_of(x, boundaries):
     """Independent oracle: largest i with q_i <= x, clamped to a valid segment."""
     n_q = len(boundaries)

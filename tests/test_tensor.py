@@ -745,6 +745,21 @@ def test_layer_norm_of_a_non_contiguous_input_matches_the_reference(dtype, view)
     _assert_layer_norm_matches_reference(x, gain, bias)
 
 
+@pytest.mark.parametrize(
+    "rows,dtype,at_once",
+    [(29, np.float32, True), (29, np.float64, True), (97, np.float32, False), (97, np.float64, False)],
+)
+def test_column_sums_reduce_at_once_or_blocked_bitwise(rows, dtype, at_once):
+    """Below T._ONE_REDUCE_BYTES one reduce, from there on cache-sized
+    blocks; both give the order of one np.add.reduce over all rows."""
+    rng = np.random.default_rng(26)
+    a, b = (rng.standard_normal((rows, 48, 64)).astype(dtype) for _ in range(2))
+    assert (a.nbytes < T._ONE_REDUCE_BYTES) == at_once
+    for x, y in ((a, b), (a[:, ::2], b[:, ::2])):
+        want = np.add.reduce((x * y).reshape(-1, 64), axis=0)
+        assert T._column_sums(x, y).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # row statistics: a row's bits never depend on the other rows of its call
 
