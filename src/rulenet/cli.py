@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .checkpoint import atomic_open, load_checkpoint, make_dirs, save_checkpoint
-from .data import TASK_CLASSIFICATION, TASK_REGRESSION, encode, prepare, read_table
+from .data import TASK_CLASSIFICATION, TASK_REGRESSION, check_seed, encode, prepare, read_table
 from .ensemble import predict_ensemble, predict_point
 from .errors import (
     FAILURES,
@@ -144,8 +144,7 @@ def resolve_run_config(config_path=None, settings=RUN_SETTINGS, **flag_overrides
         resolved[key] = _typed(key, resolved[key], kind)
     if "dtype" in resolved and resolved["dtype"] not in _DTYPES:
         raise ConfigError(f"dtype must be one of {sorted(_DTYPES)}, got {resolved['dtype']!r}")
-    if resolved["seed"] < 0:
-        raise ConfigError(f"seed must be >= 0, got {resolved['seed']}")
+    check_seed(resolved["seed"])
     return resolved
 
 

@@ -29,6 +29,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -363,6 +364,14 @@ def infer_schema(
 # splitting
 
 
+def check_seed(seed) -> None:
+    """A ConfigError unless seed is an integer >= 0 (a numpy one too), not a
+    bool: every public function that takes a seed checks it, so numpy's
+    ValueError or TypeError for a bad one never reaches the caller."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def split(
     table: Table,
     schema: DatasetSchema,
@@ -381,6 +390,7 @@ def split(
         raise ConfigError(f"fractions must be positive, got {tuple(fractions)}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"fractions must sum to 1, got sum {sum(fractions)}")
+    check_seed(seed)
 
     rng = np.random.default_rng(seed)
     n = table.n_rows
@@ -591,6 +601,7 @@ def make_batches(
     """Deterministic per-(seed, epoch) shuffle; last partial batch kept."""
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+    check_seed(seed)
     order = np.random.default_rng([seed, epoch]).permutation(split_.n_rows)
     for start in range(0, split_.n_rows, batch_size):
         yield take_rows(split_, order[start : start + batch_size])

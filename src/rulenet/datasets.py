@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from .data import check_seed
+
 CALIFORNIA_ENV = "RULENET_CA_CSV"
 CALIFORNIA_DEFAULT = "data/california_housing.csv"
 
@@ -23,6 +25,7 @@ def separable_classification(rows: int = 500, n_features: int = 4, seed: int = 0
 
     Returns (header, rows-of-strings) ready for write_csv / Table.from_rows.
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     w = rng.normal(size=n_features)
     w /= np.linalg.norm(w)
@@ -41,6 +44,7 @@ def separable_classification(rows: int = 500, n_features: int = 4, seed: int = 0
 def step_regression(rows: int = 600, n_steps: int = 5, seed: int = 0):
     """y is a pure staircase in one feature: hard for smooth fits,
     easy once inputs are quantile-binned."""
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     header = ["x", "y"]
     levels = rng.normal(size=n_steps) * 3.0

@@ -5,7 +5,8 @@ A trained model is rolled out K times with its stochastic elements left on
 mean prediction and their spread becomes a per-row uncertainty. A rollout is
 training.predict_split handed an rng, its own stream keyed by (seed, rollout
 index), so results do not depend on evaluation order and rollouts could run
-concurrently.
+concurrently. Class probabilities are a numpy softmax with the bits of
+scipy.special.softmax, so inference needs numpy alone.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import softmax as sp_softmax
 
-from .data import EncodedSplit, TASK_REGRESSION
+from .data import EncodedSplit, TASK_REGRESSION, check_seed
 from .errors import ConfigError
-from .model import RuleNetModel
+from .model import RuleNetModel, fits
 from .training import predict_split
 
 
@@ -52,12 +52,19 @@ def aggregate_scalar(rollouts: np.ndarray) -> tuple:
     return base + shifted_mean, std
 
 
+def _softmax_rows(raw: np.ndarray) -> np.ndarray:
+    """Softmax over axis 1, in the op order of scipy.special.softmax (1.10
+    to 1.17), so the bits are scipy's with numpy alone."""
+    shifted = np.exp(raw - np.max(raw, axis=1, keepdims=True))
+    return shifted / np.sum(shifted, axis=1, keepdims=True)
+
+
 def _target_units(model: RuleNetModel, raw: np.ndarray) -> np.ndarray:
     """Raw outputs -> denormalized values (regression) or class probabilities."""
     raw = raw.astype(np.float64)
     if model.config.task == TASK_REGRESSION:
         return model.prep.normalizer.denormalize(raw)
-    return sp_softmax(raw, axis=1)
+    return _softmax_rows(raw)
 
 
 def predict_ensemble(
@@ -68,8 +75,9 @@ def predict_ensemble(
     keep_rollouts: bool = False,
 ) -> EnsemblePrediction:
     """K stochastic rollouts aggregated per row."""
-    if k < 1:
-        raise ConfigError(f"ensemble size must be >= 1, got {k}")
+    if not fits(k, "int") or k < 1:
+        raise ConfigError(f"ensemble size must be an integer >= 1, got {k!r}")
+    check_seed(seed)
     rngs = (np.random.default_rng([seed, i]) for i in range(k))
     rollouts = np.stack([_target_units(model, predict_split(model, split_, r)) for r in rngs])
     mean, std = aggregate_scalar(rollouts)

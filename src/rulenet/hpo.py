@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .checkpoint import atomic_open
-from .data import DatasetSchema, EncodedSplit, Preprocessing, fit_quantiles
+from .data import DatasetSchema, EncodedSplit, Preprocessing, check_seed, fit_quantiles
 from .errors import FAILURES, ConfigError, StudyError, describe
 from .model import RuleNetConfig, fits
 from .training import Trainer, default_metric, oriented, train
@@ -259,6 +259,7 @@ def run_study(
     (seed, space, data) regardless of worker count: every trial owns its
     rng streams, and rung decisions depend only on scores.
     """
+    check_seed(seed)
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
     if workers < 1:
@@ -346,6 +347,7 @@ def run_study(
 
 def finalize_best(prep, train_split, val_split, best: TrialRecord, seed: int):
     """Retrain the winning config to completion and hand back the model."""
+    check_seed(seed)
     return train(
         rebinned(prep, train_split, best.config.n_quantiles),
         train_split, val_split, best.config,

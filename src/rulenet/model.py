@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .data import Batch, DatasetSchema, Preprocessing, TASK_CLASSIFICATION, TASK_REGRESSION
+from .data import Batch, DatasetSchema, Preprocessing, TASK_CLASSIFICATION, TASK_REGRESSION, check_seed
 from .embedding import FeatureEmbeddings, RuleEmbeddings, rule_tokens
 from .errors import ConfigError, ContractError
 
@@ -292,6 +292,7 @@ class RuleNetModel:
 
     @classmethod
     def build(cls, prep, config, seed: int = 0, dtype=np.float32) -> "RuleNetModel":
+        check_seed(seed)
         return cls(prep, config, np.random.default_rng([seed, 0]), dtype)
 
     # -- forward -----------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextvars
 import ctypes
+import functools
 import os
 import platform
 import threading
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError, ContractError, DimensionError, IndexRangeError
 
@@ -465,11 +465,24 @@ def _phi_float32(x: np.ndarray, out=None, z=None, z2=None) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _ndtr() -> Callable:
+    """scipy's exact Gaussian CDF, imported on the first float64 GELU, so
+    that a float32 process never loads scipy."""
+    try:
+        from scipy.special import ndtr
+    except ImportError as e:
+        raise ConfigError(f"float64 GELU needs scipy.special.ndtr, which cannot be imported: {e}") from e
+    return ndtr
+
+
 def gelu(x: Tensor) -> Tensor:
     """x * Phi(x) with the Gaussian CDF Phi, not the tanh approximation.
 
     float64, the gradient-verification dtype, takes Phi from scipy's exact
-    `ndtr`; float32 takes the rational `_phi_float32`. Under a tape the
+    `ndtr`, imported on the caller's thread the first time a float64 GELU
+    runs (a ConfigError if scipy is missing); float32 takes the rational
+    `_phi_float32` and needs numpy alone. Under a tape the
     forward also computes the derivative Phi + x * pdf(x), with the exact
     pdf, and the tape keeps only that: the VJP is one multiply. So in
     float32 the VJP is not the exact derivative of the forward, whose Phi
@@ -482,6 +495,7 @@ def gelu(x: Tensor) -> Tensor:
     df = None if d is None else d.reshape(-1)
     inv_sqrt_2pi = np.asarray(_INV_SQRT_2PI, dtype=x.dtype)
     f32 = x.data.dtype == np.float32
+    ndtr = None if f32 else _ndtr()  # before _split: no import on a helper thread
 
     def part(lo, hi, buf):
         n = hi - lo

@@ -308,6 +308,16 @@ def test_predict_ensemble_of_deterministic_model_matches_point(reg_run, tmp_path
     assert all(float(r[2]) == 0.0 for r in e_rows)
 
 
+@pytest.mark.parametrize("flags", [["--seed", "-1", "--ensemble", "3"], ["--ensemble", "0"]])
+def test_predict_bad_ensemble_seed_or_size_is_a_config_error(reg_run, tmp_path, capsys, flags):
+    out = tmp_path / "preds.csv"
+    rc = main(["predict", "--checkpoint", reg_run.ckpt, "--data", reg_run.data,
+               "--out", str(out), *flags])
+    assert rc == 3
+    assert flags[1] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_predict_works_without_the_target_column(reg_run, tmp_path):
     header, rows = _read_csv(reg_run.data)
     stripped = tmp_path / "unlabelled.csv"

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import softmax as sp_softmax
 
 from rulenet.ensemble import (
+    _softmax_rows,
     aggregate_scalar,
     predict_ensemble,
     predict_point,
@@ -126,3 +131,24 @@ def test_no_rows_give_empty_predictions(task):
     assert point.shape == (0,) + tail
     pred = predict_ensemble(model, empty, k=3, seed=1)
     assert pred.mean.shape == (0,) + tail and pred.std.shape == (0,)
+
+
+@st.composite
+def _logits(draw):
+    """[0-40, 2-9] finite logits, float32 up to 1e4 or float64 up to 1e300,
+    with some rows tied (every class the same)."""
+    dtype, bound = draw(st.sampled_from([(np.float32, 1e4), (np.float64, 1e300)]))
+    shape = (draw(st.integers(0, 40)), draw(st.integers(2, 9)))
+    width = np.dtype(dtype).itemsize * 8
+    raw = draw(hnp.arrays(dtype, shape, elements=st.floats(-bound, bound, width=width)))
+    tied = draw(hnp.arrays(np.bool_, shape[0]))
+    raw[tied] = raw[tied, :1]
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_logits())
+def test_class_probabilities_are_scipy_softmax_bitwise(raw):
+    want = sp_softmax(raw, axis=1)
+    got = _softmax_rows(raw)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
