@@ -39,6 +39,7 @@ from .model import (
     FlopsEstimate,
     RuleNetConfig,
     RuleNetModel,
+    activation_bytes,
     encoder_only_flops,
     estimate_flops,
     parameter_count,
@@ -64,6 +65,7 @@ __all__ = [
     "TrainHistory",
     "Trainer",
     "TrialRecord",
+    "activation_bytes",
     "backward",
     "default_metric",
     "encode",

@@ -364,12 +364,17 @@ def infer_schema(
 # splitting
 
 
+def check_count(name: str, value, least: int) -> None:
+    """A ConfigError unless value is an integer >= least (a numpy one too),
+    not a bool: every public function that takes a seed or a count checks
+    it, so numpy's or Python's ValueError or TypeError for a bad one never
+    reaches the caller, and a fractional count never passes silently."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def check_seed(seed) -> None:
-    """A ConfigError unless seed is an integer >= 0 (a numpy one too), not a
-    bool: every public function that takes a seed checks it, so numpy's
-    ValueError or TypeError for a bad one never reaches the caller."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    check_count("seed", seed, 0)
 
 
 def split(
@@ -384,8 +389,13 @@ def split(
     separately, so split class ratios track the global ratio. Sizes follow
     cumulative floor cuts: 10 rows at (0.6, 0.2, 0.2) -> 6/2/2.
     """
-    if len(fractions) != 3:
-        raise ConfigError(f"expected 3 fractions (train, val, test), got {len(fractions)}")
+    given = fractions
+    try:
+        fractions = tuple(given)
+    except TypeError:
+        fractions = ()
+    if len(fractions) != 3 or any(isinstance(f, bool) or not isinstance(f, numbers.Real) for f in fractions):
+        raise ConfigError(f"fractions must be 3 numbers (train, val, test), got {given!r}")
     if not all(f > 0 for f in fractions):  # NaN included
         raise ConfigError(f"fractions must be positive, got {tuple(fractions)}")
     if abs(sum(fractions) - 1.0) > 1e-9:
@@ -428,8 +438,7 @@ def split(
 
 def fit_quantiles(values: np.ndarray, n_quantiles: int, feature: str = "") -> QuantileBins:
     """Empirical quantiles at levels i/(n_quantiles-1), linear interpolation."""
-    if n_quantiles < 2:
-        raise ConfigError(f"need n_quantiles >= 2, got {n_quantiles}")
+    check_count("n_quantiles", n_quantiles, 2)
     vals = np.asarray(values, dtype=np.float64)
     vals = vals[np.isfinite(vals)]
     if vals.size == 0:
@@ -599,9 +608,9 @@ def make_batches(
     epoch: int,
 ) -> Iterator[Batch]:
     """Deterministic per-(seed, epoch) shuffle; last partial batch kept."""
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+    check_count("batch_size", batch_size, 1)
     check_seed(seed)
+    check_count("epoch", epoch, 0)
     order = np.random.default_rng([seed, epoch]).permutation(split_.n_rows)
     for start in range(0, split_.n_rows, batch_size):
         yield take_rows(split_, order[start : start + batch_size])

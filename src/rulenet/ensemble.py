@@ -16,9 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .data import EncodedSplit, TASK_REGRESSION, check_seed
-from .errors import ConfigError
-from .model import RuleNetModel, fits
+from .data import EncodedSplit, TASK_REGRESSION, check_count, check_seed
+from .model import RuleNetModel
 from .training import predict_split
 
 
@@ -75,8 +74,7 @@ def predict_ensemble(
     keep_rollouts: bool = False,
 ) -> EnsemblePrediction:
     """K stochastic rollouts aggregated per row."""
-    if not fits(k, "int") or k < 1:
-        raise ConfigError(f"ensemble size must be an integer >= 1, got {k!r}")
+    check_count("ensemble size", k, 1)
     check_seed(seed)
     rngs = (np.random.default_rng([seed, i]) for i in range(k))
     rollouts = np.stack([_target_units(model, predict_split(model, split_, r)) for r in rngs])

@@ -19,6 +19,7 @@ import math
 import numbers
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .checkpoint import atomic_open
-from .data import DatasetSchema, EncodedSplit, Preprocessing, check_seed, fit_quantiles
+from .data import DatasetSchema, EncodedSplit, Preprocessing, check_count, check_seed, fit_quantiles
 from .errors import FAILURES, ConfigError, StudyError, describe
 from .model import RuleNetConfig, fits
 from .training import Trainer, default_metric, oriented, train
@@ -260,37 +261,37 @@ def run_study(
     rng streams, and rung decisions depend only on scores.
     """
     check_seed(seed)
-    if n_trials < 1:
-        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    if not rungs or list(rungs) != sorted(set(rungs)) or rungs[0] < 1:
+    check_count("n_trials", n_trials, 1)
+    check_count("workers", workers, 1)
+    if not rungs or not all(fits(r, "int") and r >= 1 for r in rungs) or list(rungs) != sorted(set(rungs)):
         raise ConfigError(f"rungs must be strictly increasing epochs >= 1, got {rungs}")
 
     schema = prep.schema
     metric = default_metric(schema.task)
-    records = []
+    records = [
+        TrialRecord(t, sample_config(space, np.random.default_rng([seed, t]), schema), metric)
+        for t in range(n_trials)
+    ]
+    # a trial's trainer is built at its first advance, not before rung 0, so
+    # a study holds no model for a trial that has not started
     trainers = {}
     preps = {}  # n_quantiles -> rebinned prep, shared across trials
-    for trial_id in range(n_trials):
-        cfg_rng = np.random.default_rng([seed, trial_id])
-        record = TrialRecord(trial_id, sample_config(space, cfg_rng, schema), metric)
-        records.append(record)
-        try:
-            n_q = record.config.n_quantiles
-            if n_q not in preps:
-                preps[n_q] = rebinned(prep, train_split, n_q)
-            trainers[trial_id] = Trainer(
-                preps[n_q], train_split, val_split, record.config,
-                seed=_trial_seed(seed, trial_id),
-            )
-        except FAILURES as e:
-            record.error = describe(e)
+    preps_lock = threading.Lock()
+
+    def build(trial_id: int) -> Trainer:
+        config = records[trial_id].config
+        with preps_lock:  # workers build at once; each bin count is fitted once
+            if config.n_quantiles not in preps:
+                preps[config.n_quantiles] = rebinned(prep, train_split, config.n_quantiles)
+            trial_prep = preps[config.n_quantiles]
+        return Trainer(trial_prep, train_split, val_split, config, seed=_trial_seed(seed, trial_id))
 
     def advance(trial_id: int, epochs: int) -> Optional[float]:
         record = records[trial_id]
         start = time.perf_counter()
         try:
+            if trial_id not in trainers:
+                trainers[trial_id] = build(trial_id)
             best = trainers[trial_id].run_until(epochs)
             return oriented(metric, best)
         except FAILURES as e:
@@ -299,7 +300,7 @@ def run_study(
         finally:
             record.wall_time += time.perf_counter() - start
 
-    active = [t for t in range(n_trials) if t in trainers and records[t].error is None]
+    active = list(range(n_trials))
     for rung_index, rung in enumerate(rungs):
         if not active:
             break
@@ -314,7 +315,7 @@ def run_study(
         for t in active:
             if results[t] is None:
                 records[t].status = STATUS_FAILED
-                del trainers[t]  # frees its model and optimizer now, not at return
+                trainers.pop(t, None)  # frees its model and optimizer now, not at return
             else:
                 records[t].rung_scores.append({"epoch": rung, "score": results[t]})
                 records[t].score = results[t]

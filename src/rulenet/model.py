@@ -185,7 +185,8 @@ class TransformerLayer:
     and keys/values from [memory; x] jointly (both pre-normalized by the
     same layer norm). Memory and x are projected apart and their keys and
     values concatenated, so x may be [tokens, e] that every row shares: its
-    layer norm and projections then run once, not once per row.
+    layer norm and projections then run once, not once per row. The
+    feed-forward block (norm_ff, ff1, GELU, ff2) is one tensor.feed_forward.
     """
 
     def __init__(self, embed_dim: int, n_heads: int, hidden_dim: int, rng, dtype):
@@ -218,18 +219,22 @@ class TransformerLayer:
         return self.wo(merged)
 
     def __call__(self, x: T.Tensor, memory: Optional[T.Tensor], p_drop: float, rng) -> T.Tensor:
+        # each activation is dropped as soon as the layer is done with it:
+        # what the backward needs of it, the tape keeps
         h = self.norm_attn(x)
         q, k, v = self.wq(h), self.wk(h), self.wv(h)
+        del h
         if memory is not None:
-            if h.data.ndim == 2:  # tokens shared by every row
-                rows = memory.shape[0]
-                q, k, v = (T.broadcast_rows(t, rows) for t in (q, k, v))
+            if x.data.ndim == 2:  # tokens shared by every row
+                q, k, v = (T.broadcast_rows(t, memory.shape[0]) for t in (q, k, v))
             m = self.norm_attn(memory)
             k = T.concat([self.wk(m), k], axis=1)
             v = T.concat([self.wv(m), v], axis=1)
-        a = T.dropout(self._attend(q, k, v), p_drop, rng)
-        x = T.add(x, a)
-        f = self.ff2(T.gelu(self.ff1(self.norm_ff(x))))
+            del m
+        x = T.add(x, T.dropout(self._attend(q, k, v), p_drop, rng))
+        del q, k, v
+        norm, ff1, ff2 = self.norm_ff, self.ff1, self.ff2
+        f = T.feed_forward(x, norm.gain, norm.bias, ff1.weight, ff1.bias, ff2.weight, ff2.bias)
         f = T.dropout(f, p_drop, rng)
         return T.add(x, f)
 
@@ -387,6 +392,47 @@ def parameter_count(schema: DatasetSchema, config: RuleNetConfig) -> int:
     head = e * config.n_outputs + config.n_outputs
     final_norm = 2 * e
     return embeddings + rules + layers + final_norm + head
+
+
+def activation_bytes(schema: DatasetSchema, config: RuleNetConfig, rows: int, dtype=np.float32) -> int:
+    """Closed-form bytes the tape of one train step on `rows` rows holds,
+    parameters aside: the arrays its records keep for the VJPs, each once.
+
+    It counts a rule-mask record whenever rule_mask_rate > 0 (a step that
+    draws no masked rule keeps N * (8 + 2 * itemsize) bytes less), and a
+    dropout mask wherever the rate is above 0.
+    """
+    s = np.dtype(dtype).itemsize
+    idx = np.dtype(np.int64).itemsize
+    m, e, h, n = config.n_features, config.embed_dim, config.hidden_dim, config.n_rules
+    drop = 2 * e if config.transformer_dropout > 0 else 0  # two bool masks per token
+
+    def layer(tokens, keys, own_rows):
+        """A layer's bytes: `tokens` queries over `keys` keys per row, its
+        attention-side norm and query projection on `own_rows` token rows."""
+        return (
+            own_rows * (e + 1) * s  # norm_attn: y and inv
+            + own_rows * e * s  # the queries
+            + 2 * rows * keys * e * s  # keys and values
+            + rows * config.n_heads * tokens * keys * s  # attention probabilities
+            + rows * tokens * (e * s + drop)  # the merged heads and the dropout masks
+            + rows * tokens * ((e + 1) * s + 2 * h * s)  # feed_forward: y, inv, d and a
+        )
+
+    total = rows * m * 2 * (idx + s)  # the embedding lookup: two row indices, two weights
+    total += config.encoder_layers * layer(m, m, rows * m)
+    if config.decoder_layers:
+        if config.rule_mask_rate > 0:
+            total += n * (idx + 2 * s)
+        memory_norm = rows * m * (e + 1) * s  # each decoder layer normalizes the memory
+        total += layer(n, m + n, n) + memory_norm  # layer 0 runs its rule side once per batch
+        total += (config.decoder_layers - 1) * (layer(n, m + n, rows * n) + memory_norm)
+    tokens = n if config.decoder_layers else m
+    total += rows * tokens * (e + 1) * s  # final_norm: y and inv
+    total += rows * e * (idx + (1 if config.head_dropout > 0 else 0) + s)  # max-pool, dropout, head
+    if config.task == TASK_REGRESSION:
+        return total + rows * s  # the squared difference
+    return total + 3 * rows * config.n_outputs * s  # log-softmax, and the weighted sum
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,21 @@ VJP reads: the arrays in its ctx, and a data-free Node for its output and
 for every input but a leaf that needs a gradient. So an activation that no
 VJP reads is freed as soon as the model code drops it.
 
-Only the operations the model actually needs are implemented. Two of them
-are fused: `linear` (matmul plus bias over the collapsed leading axes) and
-`attention_probs` (softmax of scaled query-key scores). Each computes the
-same bits as the chain of ops it replaces, but keeps one tape record and
-one buffer where the chain kept several. Everything runs in a single
-dtype per graph (float32 by default; float64 is used for gradient
-verification), and mixing dtypes raises instead of silently upcasting.
+Only the operations the model actually needs are implemented. Three of
+them are fused, and each computes the same bits as the chain of ops it
+replaces, forward and backward, with one tape record where the chain kept
+several:
+- `linear` (matmul plus bias over the collapsed leading axes) keeps its
+  input, or, when that is a layer_norm output of the same tape, the norm's
+  y, gain and bias, from which its VJP rebuilds the input;
+- `attention_probs` (softmax of scaled query-key scores) keeps q, k^T and
+  the probabilities;
+- `feed_forward` (layer_norm, linear, GELU, linear) keeps the norm's y and
+  inv, GELU's derivative and GELU's output, which overwrites the first
+  linear's output in place.
+Everything runs in a single dtype per graph (float32 by default; float64
+is used for gradient verification), and mixing dtypes raises instead of
+silently upcasting.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ class Tensor:
     optimizers read and reset it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "node", "norm")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -56,6 +64,8 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         # the tape's Node for this tensor, if a taped op produced it
         self.node: Optional[Node] = None
+        # (y, gain, bias) if a taped layer_norm produced it (see linear)
+        self.norm: Optional[tuple] = None
 
     @property
     def shape(self) -> tuple:
@@ -330,7 +340,7 @@ def _emit(op: str, inputs: tuple, out_data: np.ndarray, ctx: tuple = ()) -> Tens
     out.data = out_data
     out.requires_grad = tape is not None
     out.grad = None
-    out.node = None
+    out.node = out.norm = None
     if tape is not None:
         tape.record(op, inputs, out, ctx)
     return out
@@ -491,20 +501,27 @@ def gelu(x: Tensor) -> Tensor:
     """
     out = np.empty(x.data.shape, dtype=x.dtype)
     d = None if _tape_for((x,)) is None else np.empty(x.data.shape, dtype=x.dtype)
-    xf, of = x.data.reshape(-1), out.reshape(-1)
+    _gelu_fwd(x.data, out, d)
+    return _emit("gelu", (x,), out, (d,))
+
+
+def _gelu_fwd(x: np.ndarray, out: np.ndarray, d: Optional[np.ndarray]) -> None:
+    """x * Phi(x) into out, which may be x itself, and Phi + x * pdf(x)
+    into d unless it is None; out and d are contiguous and shaped as x."""
+    xf, of = x.reshape(-1), out.reshape(-1)
     df = None if d is None else d.reshape(-1)
     inv_sqrt_2pi = np.asarray(_INV_SQRT_2PI, dtype=x.dtype)
-    f32 = x.data.dtype == np.float32
+    f32 = x.dtype == np.float32
     ndtr = None if f32 else _ndtr()  # before _split: no import on a helper thread
+    in_place = out is x
 
     def part(lo, hi, buf):
         n = hi - lo
         xs, os, ps = xf[lo:hi], of[lo:hi], buf[:n]
-        if f32:  # os is z until the product overwrites it
-            _phi_float32(xs, out=ps, z=os, z2=buf[n : 2 * n])
+        if f32:  # z is os until the product overwrites it, unless os is xs
+            _phi_float32(xs, out=ps, z=buf[2 * n : 3 * n] if in_place else os, z2=buf[n : 2 * n])
         else:
             ndtr(xs, out=ps)
-        np.multiply(xs, ps, out=os)
         if df is not None:
             # Phi + x * pdf, each step in the order of the unfused expression
             ds = df[lo:hi]
@@ -514,9 +531,9 @@ def gelu(x: Tensor) -> Tensor:
             ds *= inv_sqrt_2pi
             ds *= xs
             ds += ps
+        np.multiply(xs, ps, out=os)
 
-    _split(part, out.size, out.size, (x.dtype, 2 if f32 else 1))
-    return _emit("gelu", (x,), out, (d,))
+    _split(part, xf.size, xf.size, (x.dtype, (3 if in_place else 2) if f32 else 1))
 
 
 @_vjp("gelu")
@@ -601,59 +618,158 @@ _GEMM_ROWS = 192
 _GEMM_MIN_COLS = 16
 
 
+def _check_linear(op: str, x: Tensor, w: Tensor, b: Tensor, shape: Optional[tuple] = None) -> None:
+    """A DimensionError unless w is [in, out], b [out] and the input (x, or
+    of this shape) ends in in; a ContractError unless all share x's dtype."""
+    shape = x.data.shape if shape is None else shape
+    if w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
+        raise DimensionError(
+            f"{op}: weight must be [in, out] and bias [out], got {w.data.shape} and {b.data.shape}"
+        )
+    if len(shape) < 1 or shape[-1] != w.data.shape[0]:
+        raise DimensionError(f"{op}: input {shape} does not fit weight {w.data.shape}")
+    _check_same_dtype(x, w, op)
+    _check_same_dtype(x, b, op)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b on the last axis of x, as a GEMM over the collapsed leading axes.
 
     The GEMM is split (see _split) into parts of whole blocks of _GEMM_ROWS
     rows, the last block taking the remainder; each part adds the bias to
-    its own rows.
+    its own rows. If x is the output of a layer_norm on the same tape, the
+    record keeps that norm's y, gain and bias, which the norm's record holds
+    anyway, not x: the VJP rebuilds x = y * gain + bias with the norm's own
+    two ops, so the bits are the same.
     """
-    if w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
-        raise DimensionError(
-            f"linear: weight must be [in, out] and bias [out], got {w.data.shape} and {b.data.shape}"
-        )
-    if x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
-        raise DimensionError(f"linear: input {x.data.shape} does not fit weight {w.data.shape}")
-    _check_same_dtype(x, w, "linear")
-    _check_same_dtype(x, b, "linear")
+    _check_linear("linear", x, w, b)
     flat = x.data.reshape(-1, w.data.shape[0])
-    rows, cols = flat.shape[0], w.data.shape[1]
-    out = np.empty((rows, cols), dtype=x.dtype)
+    out = _linear_fwd(flat, w.data, b.data).reshape(x.data.shape[:-1] + w.data.shape[1:])
+    tape = _tape_for((x, w, b))
+    if tape is not None and x.norm is not None and x.node.mark is tape.mark:
+        return _emit("linear", (x, w, b), out, (*x.norm, w.data))
+    return _emit("linear", (x, w, b), out, (flat, w.data))
+
+
+def _linear_fwd(flat: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """flat @ w + b for a 2-d flat, in parts of whole _GEMM_ROWS-row blocks."""
+    rows, cols = flat.shape[0], w.shape[1]
+    out = np.empty((rows, cols), dtype=flat.dtype)
     blocks = rows // _GEMM_ROWS
 
     def part(lo, hi):
         lo, hi = lo * _GEMM_ROWS, rows if hi == blocks else hi * _GEMM_ROWS
         os = out[lo:hi]
-        np.matmul(flat[lo:hi], w.data, out=os)
-        np.add(os, b.data, out=os)
+        np.matmul(flat[lo:hi], w, out=os)
+        np.add(os, b, out=os)
 
     _split(part, blocks, max(flat.size, out.size) if cols >= _GEMM_MIN_COLS else 0)
-    out = out.reshape(x.data.shape[:-1] + w.data.shape[1:])
-    return _emit("linear", (x, w, b), out, (flat, w.data))
+    return out
 
 
 @_vjp("linear")
 def _linear_bwd(rec: OpRecord, g: np.ndarray):
-    """gx = g @ w^T as one part, gw = flat^T @ g and the bias sum as the
-    other (see _split): the calls of the unsplit VJP, side by side."""
-    flat, w = rec.ctx
+    *source, w = rec.ctx
     x, w_t, b_t = rec.inputs
-    g = g.reshape(flat.shape[0], w.shape[1])
-    gx = np.empty(flat.shape, dtype=g.dtype) if x.requires_grad else None
-    gw = np.empty(w.shape, dtype=g.dtype) if w_t.requires_grad else None
-    gb = np.empty(w.shape[1:], dtype=g.dtype) if b_t.requires_grad else None
+    g = g.reshape(-1, w.shape[1])
+    gx = np.empty((g.shape[0], w.shape[0]), dtype=g.dtype) if x.requires_grad else None
+    source = source[0].reshape(-1, w.shape[0]) if len(source) == 1 else tuple(source)
+    gw, gb = _linear_vjp(g, w, source, gx, w_t.requires_grad, b_t.requires_grad)
+    return None if gx is None else gx.reshape(x.shape), gw, gb
+
+
+def _linear_vjp(g, w, source, gx, need_w: bool, need_b: bool, gx_job=None) -> tuple:
+    """(gw, gb) of flat @ w + b for the 2-d output gradient g (each None if
+    not needed), and gx = g @ w^T into gx unless it is None.
+
+    source is flat, or (y, gain, bias) of the layer_norm whose output flat
+    is. gx is one part, and gw = flat^T @ g with the bias sum the other (see
+    _split): the calls of the unsplit VJP, side by side. The weights' part
+    first rebuilds flat from (y, gain, bias), if given, with the norm's own
+    two ops. gx_job, if given, is the other part in place of gx's.
+    """
+    gw = np.empty(w.shape, dtype=g.dtype) if need_w else None
+    gb = np.empty(w.shape[1:], dtype=g.dtype) if need_b else None
+    if isinstance(source, tuple):
+        y, gain, bias = source
+        flat = np.empty((g.shape[0], w.shape[0]), dtype=g.dtype)
+    else:
+        flat, y = source, None
 
     def weights():
         if gw is not None:
+            if y is not None:
+                np.multiply(y.reshape(flat.shape), gain, out=flat)
+                np.add(flat, bias, out=flat)
             np.matmul(_swap_last(flat), g, out=gw)
         if gb is not None:
             np.sum(g, axis=0, out=gb)
 
-    jobs = [] if gx is None else [lambda: np.matmul(g, _swap_last(w), out=gx)]
-    if gw is not None or gb is not None:
+    if gx is not None:
+        gx_job = lambda: np.matmul(g, _swap_last(w), out=gx)  # noqa: E731
+    jobs = [] if gx_job is None else [gx_job]
+    if need_w or need_b:
         jobs.append(weights)
     _split(lambda lo, hi: [job() for job in jobs[lo:hi]], len(jobs), max(flat.size, g.size))
-    return None if gx is None else gx.reshape(x.shape), gw, gb
+    return gw, gb
+
+
+def feed_forward(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
+                 w2: Tensor, b2: Tensor) -> Tensor:
+    """linear(gelu(linear(layer_norm(x, gain, bias), w1, b1)), w2, b2) as one record.
+
+    The same kernels in the same order, so the forward and every gradient
+    have the bits of the unfused chain. GELU is written over w1's output in
+    place, and the record keeps four arrays: the norm's y and inv, GELU's
+    derivative d and its output a, the input of w2. The norm's output is
+    not kept: the VJP rebuilds it from y, as linear does. The VJP writes the
+    gradient of w1's output into d, a few row blocks at a time, so it needs
+    no array as large as d of its own.
+    """
+    if x.data.shape[-1] < 1:
+        raise DimensionError(f"feed_forward: empty last axis in {x.data.shape}")
+    _check_linear("feed_forward", x, w1, b1)
+    _check_linear("feed_forward", x, w2, b2, shape=w1.data.shape[1:])
+    for t in (gain, bias):
+        _check_same_dtype(x, t, "feed_forward")
+    inputs = (x, gain, bias, w1, b1, w2, b2)
+    normed, y, inv = _layer_norm_fwd(x.data, gain.data, bias.data)
+    a = _linear_fwd(normed.reshape(-1, x.data.shape[-1]), w1.data, b1.data)
+    del normed
+    d = None if _tape_for(inputs) is None else np.empty(a.shape, dtype=a.dtype)
+    _gelu_fwd(a, a, d)
+    out = _linear_fwd(a, w2.data, b2.data).reshape(x.data.shape[:-1] + w2.data.shape[1:])
+    return _emit("feed_forward", inputs, out, (y, inv, d, a, gain.data, bias.data, w1.data, w2.data))
+
+
+@_vjp("feed_forward")
+def _feed_forward_bwd(rec: OpRecord, g: np.ndarray):
+    y, inv, d, a, gain, bias, w1, w2 = rec.ctx
+    x, gain_t, bias_t, w1_t, b1_t, w2_t, b2_t = rec.inputs
+    rows, hidden = a.shape
+    g = g.reshape(rows, w2.shape[1])
+    # the gradient of w1's output, (g @ w2^T) * d, into d: a GEMM over blocks
+    # of whole _GEMM_ROWS-row blocks, the last taking the remainder, as
+    # linear's forward cuts them (each row keeps the bits of one call),
+    # through a buffer of one block of about _PART values
+    step = _GEMM_ROWS * max(1, _PART // (_GEMM_ROWS * hidden))
+    blocks = rows // step if hidden >= _GEMM_MIN_COLS else 0
+    buf = np.empty((min(rows, 2 * step - 1) if blocks else rows, hidden), dtype=d.dtype)
+
+    def hidden_grad():
+        for i in range(max(blocks, 1)):
+            lo, hi = i * step, rows if i >= blocks - 1 else (i + 1) * step
+            t = buf[: hi - lo]
+            np.matmul(g[lo:hi], _swap_last(w2), out=t)
+            np.multiply(t, d[lo:hi], out=d[lo:hi])
+
+    gw2, gb2 = _linear_vjp(g, w2, a, None, w2_t.requires_grad, b2_t.requires_grad, gx_job=hidden_grad)
+    del buf, hidden_grad  # the buffer goes before the next VJP's arrays come
+    gn = np.empty((rows, y.shape[-1]), dtype=d.dtype)  # d now holds the gradient of w1's output
+    gw1, gb1 = _linear_vjp(d, w1, (y, gain, bias), gn, w1_t.requires_grad, b1_t.requires_grad)
+    gx, ggain, gbias = _layer_norm_vjp(gn.reshape(y.shape), y, inv, gain, gain_t.requires_grad,
+                                       bias_t.requires_grad)
+    return gx, ggain, gbias, gw1, gb1, gw2, gb2
 
 
 # ---------------------------------------------------------------------------
@@ -739,16 +855,26 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     Computed in place over parts of the leading axis (see _split), with
     the ops of the unsplit formula in its order, so the bits do not depend
     on the cut. The mean and the
-    variance are row sums (_row_sum) divided by the width.
+    variance are row sums (_row_sum) divided by the width. A taped output
+    carries (y, gain, bias) for a linear that reads it (see linear).
     """
     if x.data.shape[-1] < 1:
         raise DimensionError(f"layer_norm: empty last axis in {x.data.shape}")
-    shape, dtype = x.data.shape, x.dtype
+    out, y, inv = _layer_norm_fwd(x.data, gain.data, bias.data, eps)
+    normed = _emit("layer_norm", (x, gain, bias), out, (y, inv, gain.data))
+    if normed.node is not None:
+        normed.norm = (y, gain.data, bias.data)
+    return normed
+
+
+def _layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> tuple:
+    """layer_norm's output, y = (x - mean) / sqrt(var + eps) and inv = 1 / sqrt(var + eps)."""
+    shape, dtype = x.shape, x.dtype
     y = np.empty(shape, dtype=dtype)
     out = np.empty(shape, dtype=dtype)
     inv = np.empty(shape[:-1] + (1,), dtype=dtype)
     eps = np.asarray(eps, dtype=dtype)
-    x2, y2, out2, inv2 = (np.atleast_2d(a) for a in (x.data, y, out, inv))
+    x2, y2, out2, inv2 = (np.atleast_2d(a) for a in (x, y, out, inv))
 
     def part(lo, hi):
         xs, ys, os, vs = x2[lo:hi], y2[lo:hi], out2[lo:hi], inv2[lo:hi]
@@ -759,26 +885,32 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         np.sqrt(vs, out=vs)
         np.divide(1.0, vs, out=vs)  # inv
         ys *= vs  # y
-        np.multiply(ys, gain.data, out=os)
-        os += bias.data
+        np.multiply(ys, gain, out=os)
+        os += bias
 
     _split(part, x2.shape[0], x2.size)
-    return _emit("layer_norm", (x, gain, bias), out, (y, inv, gain.data))
+    return out, y, inv
 
 
 @_vjp("layer_norm")
 def _layer_norm_bwd(rec: OpRecord, g: np.ndarray):
     y, inv, gain = rec.ctx
-    x, gain_t, bias_t = rec.inputs
+    _, gain_t, bias_t = rec.inputs
+    return _layer_norm_vjp(g, y, inv, gain, gain_t.requires_grad, bias_t.requires_grad)
+
+
+def _layer_norm_vjp(g, y, inv, gain, need_gain: bool, need_bias: bool) -> tuple:
+    """(gx, ggain, gbias) of layer_norm for the output gradient g; ggain and
+    gbias are None if not needed."""
     width = y.shape[-1]
     g2, y2, inv2 = (np.atleast_2d(a) for a in (g, y, inv))
     ggain = gbias = None
 
     def sums():  # a part beside gx's
         nonlocal ggain, gbias
-        if gain_t.requires_grad:
+        if need_gain:
             ggain = _column_sums(g2, y2)
-        if bias_t.requires_grad:
+        if need_bias:
             gbias = g.reshape(-1, width).sum(axis=0)
 
     # inv * (dy - mean(dy) - y * mean(dy * y)) with dy = g * gain, means over

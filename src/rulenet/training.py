@@ -21,6 +21,7 @@ from .data import (
     EncodedSplit,
     TASK_REGRESSION,
     TargetNormalizer,
+    check_count,
     make_batches,
     take_rows,
 )
@@ -295,6 +296,7 @@ class Trainer:
 
         Returns the best validation metric seen so far.
         """
+        check_count("epoch_target", epoch_target, 0)
         target = min(epoch_target, self.config.epochs)
         while self.history.epochs_run < target:
             epoch = self.history.epochs_run

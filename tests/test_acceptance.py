@@ -101,6 +101,14 @@ def _primitive_cases():
         ),
         ("log_softmax", lambda x: T.log_softmax(x, axis=-1), [arr(3, 5)]),
         ("layer_norm", T.layer_norm, [arr(4, 6), arr(6), arr(6)]),
+        # a linear of a layer-norm output rebuilds that output in its VJP
+        (
+            "linear",
+            lambda x, g, b, w, c: T.linear(T.layer_norm(x, g, b), w, c),
+            [arr(2, 3, 6), arr(6), arr(6), arr(6, 5), arr(5)],
+        ),
+        ("feed_forward", T.feed_forward,
+         [arr(2, 3, 6), arr(6), arr(6), arr(6, 7), arr(7), arr(7, 5), arr(5)]),
         (
             "dropout",
             lambda x: T.dropout(x, 0.4, np.random.default_rng(11)),

@@ -1,5 +1,6 @@
-"""Bad seeds and ensemble sizes reach the caller as a ConfigError at every
-public entry point, never as numpy's ValueError or TypeError."""
+"""Bad seeds, counts and ensemble sizes reach the caller as a ConfigError at
+every public entry point, never as numpy's or Python's ValueError or
+TypeError, and never pass silently."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import rulenet
 from rulenet import data as D
 from rulenet.datasets import separable_classification, step_regression, write_csv
 from rulenet.errors import ConfigError
-from rulenet.hpo import SearchSpace, TrialRecord
+from rulenet.hpo import Domain, SearchSpace, TrialRecord
 
 from helpers import make_dataset, tiny_config, tiny_model
 
@@ -39,6 +40,7 @@ def world(tmp_path_factory):
     write_csv(csv_path, *step_regression(rows=30, seed=1))
     schema, table = D.load_csv(csv_path)
     best = TrialRecord(0, config, "rmse")
+    trainer = rulenet.Trainer(prep, tr, va, config, seed=0)
     return {
         "prepare": lambda s: rulenet.prepare(csv_path, n_quantiles=4, seed=s),
         "split": lambda s: rulenet.split(table, schema, (0.6, 0.2, 0.2), s),
@@ -52,7 +54,24 @@ def world(tmp_path_factory):
         "separable_classification": lambda s: separable_classification(rows=4, seed=s),
         "step_regression": lambda s: step_regression(rows=4, seed=s),
         "ensemble_size": lambda k: rulenet.predict_ensemble(model, va, k=k),
+        # counts, each by the name its message gives
+        "n_trials": lambda n: rulenet.run_study(_small_space(), prep, tr, va, n, rungs=(1,)),
+        "workers": lambda n: rulenet.run_study(_small_space(), prep, tr, va, 1, rungs=(1,), workers=n),
+        "batch_size": lambda n: next(D.make_batches(tr, n, 0, 0)),
+        "epoch": lambda n: next(D.make_batches(tr, 8, 0, n)),
+        "n_quantiles": lambda n: D.fit_quantiles(np.arange(9.0), n),
+        "epoch_target": trainer.run_until,
+        "fractions": lambda f: rulenet.split(table, schema, f, 0),
     }
+
+
+def _small_space() -> SearchSpace:
+    """The default box with the model pinned small: a study of it trains in
+    a blink."""
+    small = dict(embed_dim=8, n_heads=2, n_rules=3, hidden_dim=16, encoder_layers=1,
+                 decoder_layers=1, n_quantiles=4, batch_size=8, epochs=1)
+    space = SearchSpace.table_default()
+    return SearchSpace({**space.domains, **{k: Domain("fixed", values=(v,)) for k, v in small.items()}})
 
 
 SEED_TAKERS = [
@@ -84,3 +103,56 @@ def test_numpy_integer_seed_and_size_act_as_ints(cast):
     assert np.array_equal(got.mean, want.mean) and np.array_equal(got.std, want.std)
     built = (rulenet.RuleNetModel.build(model.prep, model.config, seed=s) for s in (5, cast(5)))
     assert np.array_equal(*(m.head.weight.data for m in built))
+
+
+# each count, and the least value it takes
+COUNTS = {"n_trials": 1, "workers": 1, "batch_size": 1, "epoch": 0, "n_quantiles": 2, "epoch_target": 0}
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_bad_count_is_a_config_error(world, entry, data):
+    least = COUNTS[entry]
+    bad = data.draw(st.one_of(
+        NOT_INTEGERS,
+        st.integers(max_value=least - 1),
+        st.integers(min_value=-(2**31), max_value=least - 1).map(np.int64),
+    ))
+    with pytest.raises(ConfigError, match=f"{entry} must be an integer >= {least}"):
+        world[entry](bad)
+
+
+BAD_FRACTIONS = st.one_of(
+    NOT_INTEGERS,
+    st.lists(st.one_of(st.text(max_size=2), st.none(), st.booleans()), min_size=3, max_size=3),
+    st.lists(st.floats(0.01, 0.98), max_size=5).filter(lambda f: len(f) != 3),
+    st.tuples(st.booleans(), st.just(0.0), st.just(0.0)),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(fractions=BAD_FRACTIONS)
+def test_bad_split_fractions_are_a_config_error(world, fractions):
+    with pytest.raises(ConfigError, match="fractions"):
+        world["fractions"](fractions)
+
+
+@pytest.mark.parametrize("cast", [np.int64, np.uint8, np.int32])
+def test_numpy_integer_counts_act_as_ints(world, cast):
+    for entry, value in (("batch_size", 8), ("epoch", 2), ("n_quantiles", 5), ("n_trials", 1),
+                         ("workers", 1)):
+        got, want = world[entry](cast(value)), world[entry](value)
+        if entry in ("n_trials", "workers"):  # a study: (best, records)
+            got, want = ([r.rung_scores for r in rs] for rs in (got[1], want[1]))
+        elif entry == "n_quantiles":
+            got, want = got.boundaries, want.boundaries
+        else:
+            got, want = got.numeric, want.numeric
+        assert np.array_equal(got, want), entry
+    # the trainer is shared: 0 epochs is a no-op, then one epoch each way
+    assert world["epoch_target"](cast(0)) == world["epoch_target"](0)
+    assert world["epoch_target"](cast(1)) == world["epoch_target"](1)
+    sizes = [[p.n_rows for p in world["fractions"](f).values()]
+             for f in (np.array([0.5, 0.25, 0.25]), (0.5, 0.25, 0.25))]
+    assert sizes[0] == sizes[1]

@@ -298,6 +298,46 @@ def test_study_drops_a_trainer_before_the_rung_after_its_trial_ends(monkeypatch)
     assert all(t in alive[rungs[1]] for t in range(len(records)) if t not in ended)
 
 
+def test_a_trial_builds_its_trainer_at_its_first_advance(monkeypatch):
+    events = []
+
+    class Traced(hpo.Trainer):
+        def __init__(self, *args, seed, **kwargs):
+            events.append(("build", seed))
+            super().__init__(*args, seed=seed, **kwargs)
+            self.trial_seed = seed
+
+        def run_until(self, epoch_target):
+            events.append(("run", self.trial_seed, epoch_target))
+            return super().run_until(epoch_target)
+
+    monkeypatch.setattr(hpo, "Trainer", Traced)
+    prep, tr, va = _study_data()
+    run_study(_tiny_space(), prep, tr, va, n_trials=3, seed=11, rungs=(1, 2))
+    seeds = [hpo._trial_seed(11, t) for t in range(3)]
+    assert events[:6] == [e for s in seeds for e in (("build", s), ("run", s, 1))]
+    assert [e for e in events if e[0] == "build"] == [("build", s) for s in seeds]
+
+
+def test_records_less_wall_time_match_across_workers_when_a_build_fails(monkeypatch):
+    doomed = hpo._trial_seed(12, 2)
+
+    class Fragile(hpo.Trainer):
+        def __init__(self, *args, seed, **kwargs):
+            if seed == doomed:
+                raise ConfigError("no room for this one")
+            super().__init__(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(hpo, "Trainer", Fragile)
+    prep, tr, va = _study_data()
+    studies = [run_study(_tiny_space(), prep, tr, va, n_trials=5, seed=12, rungs=(1, 2), workers=w)[1]
+               for w in (1, 2)]
+    one, two = ([{k: v for k, v in r.to_json().items() if k != "wall_time"} for r in rs] for rs in studies)
+    assert one == two
+    assert one[2]["status"] == "failed" and one[2]["error"] == "no room for this one"
+    assert one[2]["rung_scores"] == [] and one[2]["score"] is None
+
+
 @pytest.mark.parametrize("where", ["build", "run"])
 def test_a_trial_out_of_memory_fails_and_the_study_goes_on(monkeypatch, where):
     doomed = hpo._trial_seed(11, 1)

@@ -12,6 +12,7 @@ from rulenet import data as D
 from rulenet import tensor as T
 from rulenet.errors import ConfigError, ContractError
 from rulenet.model import (
+    activation_bytes,
     RuleNetConfig,
     RuleNetModel,
     TransformerLayer,
@@ -459,6 +460,29 @@ def test_tape_holds_only_what_the_vjps_read():
     # transients of one op at a time; measured 1.35x (1.66x when the tape
     # kept every op's output and freed nothing until the sweep ended)
     assert peak <= 1.5 * ctx_bytes, (peak, ctx_bytes)
+
+
+@pytest.mark.parametrize(
+    "rows,table,overrides,dtype",
+    [
+        (256, dict(n_num=8), {}, np.float32),  # narrow-train's step
+        (64, dict(n_num=8), dict(decoder_layers=0), np.float64),
+        (3, dict(n_num=100, n_cat=28, task="classification"), {}, np.float32),
+    ],
+    ids=["narrow", "no-decoder", "wide"],
+)
+def test_activation_bytes_is_what_a_taped_train_step_keeps(rows, table, overrides, dtype):
+    prep, enc = make_dataset(rows=rows, n_cat=table.pop("n_cat", 0), n_quantiles=RuleNetConfig.n_quantiles,
+                             **table)
+    cfg = RuleNetConfig.for_schema(prep.schema, **overrides)
+    model = RuleNetModel.build(prep, cfg, seed=0, dtype=dtype)
+    batch = D.take_rows(enc, np.arange(rows))
+    params = {id(p.data) for p in model.named_parameters().values()}
+    with T.Tape() as tape:
+        batch_loss(model, batch, model.forward(batch, "train", rng=np.random.default_rng(0)))
+    kept = _arrays_reached([rec.ctx for rec in tape.entries])
+    measured = sum(a.nbytes for k, a in kept.items() if k not in params)
+    assert activation_bytes(prep.schema, cfg, rows, dtype) == measured
 
 
 def test_gradient_reaches_rule_tokens():

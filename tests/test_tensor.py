@@ -5,13 +5,14 @@ import platform
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -657,6 +658,129 @@ def test_attention_probs_matches_composition(dtype):
     _assert_bitwise(fused, _taped(composed, [xq, xk]))
 
 
+# leading axes of a fused record's input: [rows, e] as the shared rule tokens
+# are, or [rows, tokens, e]; the row counts are and are not multiples of
+# T._GEMM_ROWS (192 = 3 * 64 rows of 64 tokens)
+_FUSED_LEADS = st.one_of(
+    st.one_of(st.integers(1, 900), st.integers(1, 4).map(lambda k: k * T._GEMM_ROWS)).map(lambda r: (r,)),
+    st.tuples(st.integers(1, 12), st.sampled_from([1, 8, 64])),
+)
+_FUSED_SETTINGS = settings(max_examples=30, deadline=None,
+                           suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _norm_inputs(rng, lead, width, dtype):
+    x = T.Tensor(2.0 * rng.standard_normal(lead + (width,)) + rng.standard_normal(width),
+                 requires_grad=True, dtype=dtype)
+    gain, bias = (T.Tensor(1.0 + 0.5 * rng.standard_normal(width), requires_grad=True, dtype=dtype)
+                  for _ in range(2))
+    return x, gain, bias
+
+
+def _normed(x, gain, bias, pre_norm):
+    """layer_norm's output; unless pre_norm, passed through a reshape, so
+    that a linear keeps it as a plain input."""
+    h = T.layer_norm(x, gain, bias)
+    return h if pre_norm else T.reshape(h, h.shape)
+
+
+def _with_parts(monkeypatch, small_parts, run):
+    with monkeypatch.context() as m:
+        if small_parts:  # every op large enough splits, on the helper threads
+            m.setattr(T, "_PART", 512)
+        return run()
+
+
+@_FUSED_SETTINGS
+@given(lead=_FUSED_LEADS, width=st.sampled_from([4, 8, 32]), hidden=st.sampled_from([3, 16, 48]),
+       dtype=st.sampled_from([np.float32, np.float64]), small_parts=st.booleans(),
+       seed=st.integers(0, 2**16))
+@example(lead=(3 * T._GEMM_ROWS + 1,), width=8, hidden=16, dtype=np.float32, small_parts=True, seed=0)
+@example(lead=(6, 64), width=32, hidden=48, dtype=np.float32, small_parts=True, seed=1)
+def test_feed_forward_matches_the_unfused_chain_bitwise(helpers, monkeypatch, lead, width, hidden,
+                                                        dtype, small_parts, seed):
+    rng = np.random.default_rng(seed)
+    x, gain, bias = _norm_inputs(rng, lead, width, dtype)
+    w1, b1, w2, b2 = (_tensor(rng, shape, dtype) for shape in ((width, hidden), (hidden,),
+                                                                (hidden, width), (width,)))
+    leaves = [x, gain, bias, w1, b1, w2, b2]
+
+    def chain(pre_norm):
+        return T.linear(T.gelu(T.linear(_normed(x, gain, bias, pre_norm), w1, b1)), w2, b2)
+
+    def run():
+        return [_taped(lambda: T.feed_forward(*leaves), leaves, seed),
+                _taped(lambda: chain(False), leaves, seed),
+                _taped(lambda: chain(True), leaves, seed),
+                T.feed_forward(*leaves).data]
+
+    fused, unfused, pre_norm, untaped = _with_parts(monkeypatch, small_parts, run)
+    _assert_bitwise(fused, unfused)
+    _assert_bitwise(pre_norm, unfused)
+    assert np.array_equal(untaped, unfused[0])
+
+
+@_FUSED_SETTINGS
+@given(lead=_FUSED_LEADS, width=st.sampled_from([4, 16, 64]), dtype=st.sampled_from([np.float32, np.float64]),
+       small_parts=st.booleans(), seed=st.integers(0, 2**16))
+@example(lead=(64,), width=64, dtype=np.float32, small_parts=False, seed=2)
+def test_projections_of_a_layer_norm_output_match_the_unfused_chain_bitwise(helpers, monkeypatch, lead,
+                                                                           width, dtype, small_parts, seed):
+    rng = np.random.default_rng(seed)
+    x, gain, bias = _norm_inputs(rng, lead, width, dtype)
+    projections = [_tensor(rng, shape, dtype) for _ in range(3) for shape in ((width, width), (width,))]
+    leaves = [x, gain, bias, *projections]
+
+    def qkv(pre_norm):  # as attention projects one norm's output three times
+        h = _normed(x, gain, bias, pre_norm)
+        return T.concat([T.linear(h, *projections[i : i + 2]) for i in (0, 2, 4)], axis=-1)
+
+    got, want = _with_parts(monkeypatch, small_parts,
+                            lambda: [_taped(lambda: qkv(pre), leaves, seed) for pre in (True, False)])
+    _assert_bitwise(got, want)
+
+
+def test_a_linear_of_a_layer_norm_output_tapes_the_norms_y_not_the_output():
+    rng = np.random.default_rng(27)
+    x, gain, bias = _norm_inputs(rng, (5, 3), 4, np.float32)
+    w, b = _tensor(rng, (4, 6), np.float32), _tensor(rng, (6,), np.float32)
+    with T.Tape() as tape:
+        h = T.layer_norm(x, gain, bias)
+        T.linear(h, w, b)
+    norm, lin = tape.entries
+    y = norm.ctx[0]
+    assert lin.ctx[0] is y and lin.ctx[1:] == (gain.data, bias.data, w.data) and len(lin.ctx) == 4
+    # an output of another tape, or of no layer_norm, is kept as it is
+    with T.Tape() as tape:
+        T.linear(h, w, b)
+        T.linear(T.reshape(h, h.shape), w, b)
+    assert [rec.ctx[0].base is h.data for rec in tape.entries[::2]] == [True, True]
+
+
+def test_feed_forward_tapes_four_activations_and_its_vjp_needs_no_array_as_large_as_them():
+    rng = np.random.default_rng(28)
+    rows, width, hidden = 8000, 16, 256
+    x, gain, bias = _norm_inputs(rng, (rows,), width, np.float32)
+    params = [_tensor(rng, shape, np.float32) for shape in ((width, hidden), (hidden,),
+                                                             (hidden, width), (width,))]
+    with T.Tape() as tape:
+        T.feed_forward(x, gain, bias, *params)
+    (rec,) = tape.entries
+    kept = [a for a in rec.ctx if not any(a is p.data for p in (gain, bias, *params))]
+    assert [a.shape for a in kept] == [(rows, width), (rows, 1), (rows, hidden), (rows, hidden)]
+    g = rng.standard_normal((rows, width)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        T._BACKWARD["feed_forward"](rec, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the outputs and a buffer of one row block: measured 1.7 MB, against
+    # 8.2 MB for a [rows, hidden] array
+    assert peak - before < kept[2].nbytes / 2, (peak - before, kept[2].nbytes)
+
+
 # a few values, then about three of dropout's T._CHUNK-value blocks and a
 # ragged fourth, all in one call (and, for layer_norm, no rows at all)
 _SMALL = (7, 9)
@@ -1130,10 +1254,11 @@ def test_model_outputs_with_split_kernels_match_the_unsplit_ones_bitwise(helpers
         m.setattr(T, "_PART", 256)
         m.setattr(T, "_split", spy)
         got = _model_outputs(dtype)
-    # linear's VJP always splits in two: its two GEMMs side by side
-    counts = [k for op, k in splits if op != "_linear_bwd"]
+    # a linear VJP (linear's, and the two of feed_forward's) always splits
+    # in two: its two GEMMs side by side
+    counts = [k for op, k in splits if op != "_linear_vjp"]
     assert len(counts) > 20 and min(counts) >= 3
-    assert sorted({k for op, k in splits if op == "_linear_bwd"}) == [2]
+    assert sorted({k for op, k in splits if op == "_linear_vjp"}) == [2]
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
