@@ -67,7 +67,8 @@ def main():
     agree = np.mean(np.argmax(ens.mean, axis=1) == np.argmax(single.mean, axis=1))
     print()
     print(f"K=16 and K=1 pick the same class on {agree:.0%} of validation rows;")
-    print("the ensemble adds a calibrated doubt signal on top, not a new decision rule")
+    print("the ensemble adds each row's spread under masking, not a new decision rule;")
+    print("whether a wider spread marks a likelier error is not measured here")
 
 
 if __name__ == "__main__":

@@ -52,6 +52,7 @@ import zlib
 
 import numpy as np
 
+from . import tensor as T
 from .data import (
     KIND_CATEGORICAL,
     TASK_REGRESSION,
@@ -79,12 +80,10 @@ _HEADER = struct.Struct("<4sII")  # magic, format version, CRC32 of the rest
 _LENGTH = struct.Struct("<Q")  # manifest length, the first bytes the CRC covers
 _BINS = "bins"  # the directory entry of the float64 bin boundaries
 
-_DTYPE_CODES = {"float32": "<f4", "float64": "<f8"}
-
 
 def save_checkpoint(model: RuleNetModel, path) -> None:
     dtype_name = np.dtype(model.dtype).name
-    code = _DTYPE_CODES[dtype_name]
+    code = np.dtype(dtype_name).newbyteorder("<")
     prep = model.prep
     sections = [(name, np.ascontiguousarray(t.data, dtype=code)) for name, t in model.named_parameters().items()]
     features = [c.name for c in prep.schema.numerical_features]
@@ -206,9 +205,9 @@ def load_checkpoint(path) -> RuleNetModel:
         )
 
     dtype_name = manifest.get("dtype", "float32")
-    if dtype_name not in _DTYPE_CODES:
+    if dtype_name not in T.DTYPES:
         raise CheckpointError(f"{path}: unsupported tensor dtype {dtype_name!r}")
-    code = _DTYPE_CODES[dtype_name]
+    code = np.dtype(dtype_name).newbyteorder("<")
 
     pp = manifest["preprocessing"]
     features, n_quantiles = pp["bins"]["features"], pp["bins"]["n_quantiles"]

@@ -20,6 +20,7 @@ import sys
 
 import numpy as np
 
+from . import tensor as T
 from .checkpoint import atomic_open, load_checkpoint, make_dirs, save_checkpoint
 from .data import TASK_CLASSIFICATION, TASK_REGRESSION, check_seed, encode, prepare, read_table
 from .ensemble import predict_ensemble, predict_point
@@ -99,8 +100,6 @@ STUDY_SETTINGS = {
     "ablation": ((), "list[str]"),  # names from hpo.ABLATIONS
 }
 
-_DTYPES = {"float32": np.float32, "float64": np.float64}
-
 
 def _read_json_object(path, what: str) -> dict:
     try:
@@ -142,8 +141,8 @@ def resolve_run_config(config_path=None, settings=RUN_SETTINGS, **flag_overrides
 
     for key, (_, kind) in settings.items():
         resolved[key] = _typed(key, resolved[key], kind)
-    if "dtype" in resolved and resolved["dtype"] not in _DTYPES:
-        raise ConfigError(f"dtype must be one of {sorted(_DTYPES)}, got {resolved['dtype']!r}")
+    if "dtype" in resolved and resolved["dtype"] not in T.DTYPES:
+        raise ConfigError(f"dtype must be one of {sorted(T.DTYPES)}, got {resolved['dtype']!r}")
     check_seed(resolved["seed"])
     return resolved
 
@@ -205,7 +204,7 @@ def cmd_train(args) -> int:
         splits["val"],
         config,
         seed=cfg["seed"],
-        dtype=_DTYPES[cfg["dtype"]],
+        dtype=T.DTYPES[cfg["dtype"]],
         metrics_path=history_path,
     )
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Batch, Preprocessing
-from .errors import ContractError, IndexRangeError
+from .errors import ContractError, IndexRangeError, UnflaggedNaNError
 
 
 def _mask_draws(rate: float, shape, rng: np.random.Generator) -> np.ndarray:
@@ -49,10 +49,10 @@ def locate_segments(values, boundaries, n_quantiles) -> tuple[np.ndarray, np.nda
     row j's n_quantiles[j], or all in one 1-d row of boundaries.
     i is the largest index with q_i <= x, clamped to a valid segment;
     out-of-range values clamp to the outermost segment with f 0 or 1;
-    zero-width segments give f = 0. NaN raises ValueError.
+    zero-width segments give f = 0. NaN raises UnflaggedNaNError, a ValueError.
     """
     if np.isnan(values).any():
-        raise ValueError("cannot locate NaN in quantile bins")
+        raise UnflaggedNaNError("cannot locate NaN in quantile bins; a missing value must be flagged")
     # the count of q <= x is searchsorted(side="right") on a sorted row
     idx = (values[..., None] >= boundaries).sum(axis=-1) - 1
     idx = np.clip(idx, 0, n_quantiles - 2)

@@ -21,6 +21,11 @@ class ContractError(RuleNetError):
     """An internal invariant was violated (caller or library bug)."""
 
 
+class UnflaggedNaNError(ContractError, ValueError):
+    """A numerical value to be located in its quantile bins is NaN, and no
+    missing mask flags it."""
+
+
 class ConfigError(RuleNetError):
     """Invalid hyperparameter, fraction, metric or CLI configuration."""
 

@@ -256,9 +256,21 @@ class TransformerLayer:
 # the model
 
 
+def _graph_dtype(dtype) -> type:
+    """The scalar type of dtype; a ConfigError unless it is one of T.DTYPES."""
+    try:
+        name = np.dtype(dtype).name
+    except (TypeError, ValueError):
+        name = None
+    if name not in T.DTYPES:
+        raise ConfigError(f"dtype must be one of {sorted(T.DTYPES)}, got {dtype!r}")
+    return T.DTYPES[name]
+
+
 class RuleNetModel:
     def __init__(self, prep: Preprocessing, config: RuleNetConfig, rng, dtype=np.float32):
         config.validate()
+        dtype = _graph_dtype(dtype)
         schema = prep.schema
         if config.n_features != schema.n_features:
             raise ContractError(

@@ -21,8 +21,8 @@ several:
   inv, GELU's derivative and GELU's output, which overwrites the first
   linear's output in place.
 Everything runs in a single dtype per graph (float32 by default; float64
-is used for gradient verification), and mixing dtypes raises instead of
-silently upcasting.
+is used for gradient verification): _emit raises if an op's inputs and
+output differ in dtype, instead of letting numpy cast silently.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ import numpy as np
 from .errors import ConfigError, ContractError, DimensionError, IndexRangeError
 
 DEFAULT_DTYPE = np.float32
+# the dtypes a graph can run in, by name
+DTYPES = {"float32": np.float32, "float64": np.float64}
 
 _INV_SQRT_2PI = 0.3989422804014327
 
@@ -57,7 +59,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
-        if arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in DTYPES.values():
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -253,10 +255,10 @@ def _split(body: Callable, n: int, size: int, scratch=None, beside: Optional[Cal
     _PART values; otherwise body(0, n) runs once. If the process may run
     on more than one core, the parts go to a pool of helper threads, one
     per further core, started at the first such call. The caller runs the
-    first part, then each part no helper has started, so it never waits
-    behind another caller's parts and concurrent callers cannot deadlock.
-    On one core the caller runs every part itself. `beside()`, if given, is
-    one more part: queued ahead of the others, or run inline before them.
+    first part, then each part no helper has started (on one core, all of
+    them), so it never waits behind another caller's parts and concurrent
+    callers cannot deadlock. `beside()`, if given, is one more part, queued
+    ahead of the others.
 
     A body must give each output value the same ops wherever its part
     starts, so the result is bitwise the same however the range is cut. A
@@ -292,15 +294,9 @@ def _split(body: Callable, n: int, size: int, scratch=None, beside: Optional[Cal
             finally:
                 free.append(buf)
 
-    if not pool:
-        if beside is not None:
-            beside()
-        for lo, hi in parts:
-            body(lo, hi)
-        return
     jobs = [] if beside is None else [(beside,)]
     jobs += [(body, lo, hi) for lo, hi in parts[1:]]
-    futures = [pool[0].submit(contextvars.copy_context().run, *job) for job in jobs]
+    futures = [pool[0].submit(contextvars.copy_context().run, *job) if pool else None for job in jobs]
     errors = []
     try:
         body(*parts[0])
@@ -308,7 +304,7 @@ def _split(body: Callable, n: int, size: int, scratch=None, beside: Optional[Cal
         errors.append(e)
     # the helpers take parts from the front; take back from the end
     for fut, job in zip(reversed(futures), reversed(jobs)):
-        if fut.cancel():
+        if fut is None or fut.cancel():
             if not errors:
                 try:
                     job[0](*job[1:])
@@ -335,6 +331,11 @@ def _tape_for(inputs: tuple) -> Optional[Tape]:
 
 
 def _emit(op: str, inputs: tuple, out_data: np.ndarray, ctx: tuple = ()) -> Tensor:
+    """op's output, taped if _tape_for(inputs); a ContractError unless each input has its dtype."""
+    dtype = out_data.dtype
+    for t in inputs:
+        if t.data.dtype != dtype:
+            raise ContractError(f"{op}: mixed dtypes {t.data.dtype} and {dtype}; one graph, one dtype")
     tape = _tape_for(inputs)
     out = Tensor.__new__(Tensor)
     out.data = out_data
@@ -350,13 +351,6 @@ def _as_tensor(x, like: Tensor) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=like.dtype))
-
-
-def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.dtype != b.data.dtype:
-        raise ContractError(
-            f"{op}: mixed dtypes {a.data.dtype} and {b.data.dtype}; one graph, one dtype"
-        )
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -376,21 +370,25 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # elementwise
 
 
-def add(a: Tensor, b) -> Tensor:
-    a_t, b_t = a, _as_tensor(b, a)
-    _check_same_dtype(a_t, b_t, "add")
+def _broadcastable(op: str, a: Tensor, b) -> Tensor:
+    """b as a Tensor (of a's dtype, if a scalar); a DimensionError unless
+    its shape broadcasts with a's."""
+    b = _as_tensor(b, a)
     try:
-        np.broadcast_shapes(a_t.data.shape, b_t.data.shape)
+        np.broadcast_shapes(a.data.shape, b.data.shape)
     except ValueError:
-        raise DimensionError(
-            f"add: cannot broadcast {a_t.data.shape} with {b_t.data.shape}"
-        ) from None
-    a_d, b_d = a_t.data, b_t.data
+        raise DimensionError(f"{op}: cannot broadcast {a.data.shape} with {b.data.shape}") from None
+    return b
+
+
+def add(a: Tensor, b) -> Tensor:
+    b = _broadcastable("add", a, b)
+    a_d, b_d = a.data, b.data
     if a_d.shape != b_d.shape or a_d.ndim == 0:
-        return _emit("add", (a_t, b_t), a_d + b_d)
+        return _emit("add", (a, b), a_d + b_d)
     out = np.empty(a_d.shape, dtype=a_d.dtype)
     _split(lambda lo, hi: np.add(a_d[lo:hi], b_d[lo:hi], out=out[lo:hi]), out.shape[0], out.size)
-    return _emit("add", (a_t, b_t), out)
+    return _emit("add", (a, b), out)
 
 
 @_vjp("add")
@@ -404,15 +402,8 @@ def sub(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    a_t, b_t = a, _as_tensor(b, a)
-    _check_same_dtype(a_t, b_t, "mul")
-    try:
-        np.broadcast_shapes(a_t.data.shape, b_t.data.shape)
-    except ValueError:
-        raise DimensionError(
-            f"mul: cannot broadcast {a_t.data.shape} with {b_t.data.shape}"
-        ) from None
-    return _emit("mul", (a_t, b_t), a_t.data * b_t.data, (a_t.data, b_t.data))
+    b = _broadcastable("mul", a, b)
+    return _emit("mul", (a, b), a.data * b.data, (a.data, b.data))
 
 
 @_vjp("mul")
@@ -496,30 +487,29 @@ def gelu(x: Tensor) -> Tensor:
     forward also computes the derivative Phi + x * pdf(x), with the exact
     pdf, and the tape keeps only that: the VJP is one multiply. So in
     float32 the VJP is not the exact derivative of the forward, whose Phi
-    is approximate. An untaped call computes no derivative. Both run over
-    the flat values, in parts (see _split), Phi in a part's own scratch.
+    is approximate. An untaped call computes no derivative. Both run on a
+    copy of x, in place, in parts (see _split), Phi in a part's own scratch.
     """
-    out = np.empty(x.data.shape, dtype=x.dtype)
+    out = x.data.copy()
     d = None if _tape_for((x,)) is None else np.empty(x.data.shape, dtype=x.dtype)
-    _gelu_fwd(x.data, out, d)
+    _gelu_fwd(out, d)
     return _emit("gelu", (x,), out, (d,))
 
 
-def _gelu_fwd(x: np.ndarray, out: np.ndarray, d: Optional[np.ndarray]) -> None:
-    """x * Phi(x) into out, which may be x itself, and Phi + x * pdf(x)
-    into d unless it is None; out and d are contiguous and shaped as x."""
-    xf, of = x.reshape(-1), out.reshape(-1)
+def _gelu_fwd(x: np.ndarray, d: Optional[np.ndarray]) -> None:
+    """x * Phi(x) into x, and Phi + x * pdf(x) into d unless it is None;
+    x and d are contiguous and shaped alike."""
+    xf = x.reshape(-1)
     df = None if d is None else d.reshape(-1)
     inv_sqrt_2pi = np.asarray(_INV_SQRT_2PI, dtype=x.dtype)
     f32 = x.dtype == np.float32
     ndtr = None if f32 else _ndtr()  # before _split: no import on a helper thread
-    in_place = out is x
 
     def part(lo, hi, buf):
         n = hi - lo
-        xs, os, ps = xf[lo:hi], of[lo:hi], buf[:n]
-        if f32:  # z is os until the product overwrites it, unless os is xs
-            _phi_float32(xs, out=ps, z=buf[2 * n : 3 * n] if in_place else os, z2=buf[n : 2 * n])
+        xs, ps = xf[lo:hi], buf[:n]
+        if f32:
+            _phi_float32(xs, out=ps, z=buf[2 * n : 3 * n], z2=buf[n : 2 * n])
         else:
             ndtr(xs, out=ps)
         if df is not None:
@@ -531,9 +521,9 @@ def _gelu_fwd(x: np.ndarray, out: np.ndarray, d: Optional[np.ndarray]) -> None:
             ds *= inv_sqrt_2pi
             ds *= xs
             ds += ps
-        np.multiply(xs, ps, out=os)
+        np.multiply(xs, ps, out=xs)
 
-    _split(part, xf.size, xf.size, (x.dtype, (3 if in_place else 2) if f32 else 1))
+    _split(part, xf.size, xf.size, (x.dtype, 3 if f32 else 1))
 
 
 @_vjp("gelu")
@@ -561,7 +551,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul: batch dimensions incompatible, {a.data.shape} x {b.data.shape}"
         ) from None
-    _check_same_dtype(a, b, "matmul")
     a_d, b_d = a.data, b.data
     if not _shared_batch(a_d, b_d):
         return _emit("matmul", (a, b), np.matmul(a_d, b_d), (a_d, b_d))
@@ -620,7 +609,7 @@ _GEMM_MIN_COLS = 16
 
 def _check_linear(op: str, x: Tensor, w: Tensor, b: Tensor, shape: Optional[tuple] = None) -> None:
     """A DimensionError unless w is [in, out], b [out] and the input (x, or
-    of this shape) ends in in; a ContractError unless all share x's dtype."""
+    of this shape) ends in in."""
     shape = x.data.shape if shape is None else shape
     if w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
         raise DimensionError(
@@ -628,8 +617,6 @@ def _check_linear(op: str, x: Tensor, w: Tensor, b: Tensor, shape: Optional[tupl
         )
     if len(shape) < 1 or shape[-1] != w.data.shape[0]:
         raise DimensionError(f"{op}: input {shape} does not fit weight {w.data.shape}")
-    _check_same_dtype(x, w, op)
-    _check_same_dtype(x, b, op)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -726,18 +713,14 @@ def feed_forward(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
     gradient of w1's output into d, a few row blocks at a time, so it needs
     no array as large as d of its own.
     """
-    if x.data.shape[-1] < 1:
-        raise DimensionError(f"feed_forward: empty last axis in {x.data.shape}")
     _check_linear("feed_forward", x, w1, b1)
     _check_linear("feed_forward", x, w2, b2, shape=w1.data.shape[1:])
-    for t in (gain, bias):
-        _check_same_dtype(x, t, "feed_forward")
     inputs = (x, gain, bias, w1, b1, w2, b2)
     normed, y, inv = _layer_norm_fwd(x.data, gain.data, bias.data)
     a = _linear_fwd(normed.reshape(-1, x.data.shape[-1]), w1.data, b1.data)
     del normed
     d = None if _tape_for(inputs) is None else np.empty(a.shape, dtype=a.dtype)
-    _gelu_fwd(a, a, d)
+    _gelu_fwd(a, d)
     out = _linear_fwd(a, w2.data, b2.data).reshape(x.data.shape[:-1] + w2.data.shape[1:])
     return _emit("feed_forward", inputs, out, (y, inv, d, a, gain.data, bias.data, w1.data, w2.data))
 
@@ -858,8 +841,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     variance are row sums (_row_sum) divided by the width. A taped output
     carries (y, gain, bias) for a linear that reads it (see linear).
     """
-    if x.data.shape[-1] < 1:
-        raise DimensionError(f"layer_norm: empty last axis in {x.data.shape}")
     out, y, inv = _layer_norm_fwd(x.data, gain.data, bias.data, eps)
     normed = _emit("layer_norm", (x, gain, bias), out, (y, inv, gain.data))
     if normed.node is not None:
@@ -868,8 +849,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def _layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> tuple:
-    """layer_norm's output, y = (x - mean) / sqrt(var + eps) and inv = 1 / sqrt(var + eps)."""
+    """layer_norm's output, y = (x - mean) / sqrt(var + eps) and inv = 1 / sqrt(var + eps);
+    a DimensionError if the last axis is empty."""
     shape, dtype = x.shape, x.dtype
+    if shape[-1] < 1:
+        raise DimensionError(f"layer_norm: empty last axis in {shape}")
     y = np.empty(shape, dtype=dtype)
     out = np.empty(shape, dtype=dtype)
     inv = np.empty(shape[:-1] + (1,), dtype=dtype)
@@ -972,7 +956,6 @@ def attention_probs(q: Tensor, k: Tensor, scale: float) -> Tensor:
         raise DimensionError(
             f"attention_probs: q and k differ in width, {q.data.shape} and {k.data.shape}"
         )
-    _check_same_dtype(q, k, "attention_probs")
     s = float(scale)
     q_d, kt = q.data, _swap_last(k.data)
     p = np.empty(q_d.shape[:-1] + kt.shape[-1:], dtype=q_d.dtype)
@@ -1166,9 +1149,6 @@ def _transpose_bwd(rec: OpRecord, g: np.ndarray):
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     if not parts:
         raise DimensionError("concat: no tensors given")
-    first = parts[0]
-    for p in parts[1:]:
-        _check_same_dtype(first, p, "concat")
     sizes = tuple(p.data.shape[axis] for p in parts)
     out = np.concatenate([p.data for p in parts], axis=axis)
     return _emit("concat", tuple(parts), out, (sizes, axis))

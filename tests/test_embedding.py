@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rulenet.tensor as T
+from rulenet import data as D
 from rulenet import embedding as E
 from rulenet.data import Batch, ColumnSpec, DatasetSchema, Preprocessing, QuantileBins
-from rulenet.errors import ConfigError, IndexRangeError
-from rulenet.model import RuleNetConfig
+from rulenet.ensemble import predict_point
+from rulenet.errors import ConfigError, IndexRangeError, RuleNetError
+from rulenet.model import RuleNetConfig, RuleNetModel
+from rulenet.training import Trainer
 
 from helpers import (
     embed_categorical,
@@ -18,6 +21,7 @@ from helpers import (
     feature_view,
     make_dataset,
     one_feature_block,
+    tiny_config,
 )
 from oracles import ref_embed_row
 
@@ -65,6 +69,20 @@ def test_locate_nan_rejected():
     # a missing NaN is masked, not located
     out = embed_numerical(feat, np.array([float("nan")]), np.array([True]), 0.0, None).data
     assert np.array_equal(out[0], feature_view(feat, "x")[1])
+
+
+def test_unflagged_nan_in_a_split_is_a_rulenet_error():
+    # a NaN that numeric_missing does not flag is a RuleNetError, and still
+    # the ValueError that locate_segments documents
+    prep, enc = make_dataset(rows=16, seed=5)
+    enc.numeric[3, 0] = np.nan
+    tr, va = D.take_rows(enc, np.arange(12)), D.take_rows(enc, np.arange(4))
+    model = RuleNetModel.build(prep, tiny_config(prep), seed=0)
+    with pytest.raises(RuleNetError, match="NaN") as exc:
+        predict_point(model, va)
+    assert isinstance(exc.value, ValueError)
+    with pytest.raises(RuleNetError, match="NaN"):
+        Trainer(prep, tr, va, tiny_config(prep, epochs=1), seed=0).run_until(1)
 
 
 @pytest.mark.filterwarnings("error")

@@ -20,7 +20,7 @@ from rulenet.model import (
     estimate_flops,
     parameter_count,
 )
-from rulenet.training import batch_loss
+from rulenet.training import batch_loss, train
 
 from helpers import feature_view, make_dataset, tiny_config, tiny_model
 from oracles import fd_gradient, max_rel_err
@@ -173,6 +173,27 @@ def test_build_rejects_quantile_mismatch():
     cfg = tiny_config(prep, n_quantiles=5)
     with pytest.raises(ContractError, match="quantiles"):
         RuleNetModel.build(prep, cfg)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int64, "complex64", "no such dtype", object()])
+def test_build_and_train_refuse_unsupported_dtypes(dtype):
+    # a model runs in float32 or float64 only: any other dtype, or a value
+    # numpy cannot read as one, is refused before a parameter is made
+    prep, enc = make_dataset(rows=16, seed=7)
+    cfg = tiny_config(prep, epochs=1)
+    with pytest.raises(ConfigError, match="dtype must be one of"):
+        RuleNetModel.build(prep, cfg, dtype=dtype)
+    tr, va = D.take_rows(enc, np.arange(12)), D.take_rows(enc, np.arange(12, 16))
+    with pytest.raises(ConfigError, match="dtype must be one of"):
+        train(prep, tr, va, cfg, dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype, want", [("float32", np.float32), (np.dtype(">f8"), np.float64)])
+def test_build_takes_any_spelling_of_a_supported_dtype(dtype, want):
+    prep, _ = make_dataset(seed=7)
+    model = RuleNetModel.build(prep, tiny_config(prep), dtype=dtype)
+    assert model.dtype is want
+    assert all(t.data.dtype == want for t in model.named_parameters().values())
 
 
 def test_build_rejects_task_mismatch():

@@ -1063,6 +1063,36 @@ def test_fused_op_shape_errors():
         T.attention_probs(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((3, 3, 4))), 1.0)
 
 
+# each op with more than one input, and the input shapes it takes
+_MULTI_INPUT_OPS = {
+    "add": (T.add, [(2, 3), (3,)]),
+    "mul": (T.mul, [(2, 3), (2, 3)]),
+    "matmul": (T.matmul, [(2, 3), (3, 4)]),
+    "linear": (T.linear, [(2, 3), (3, 4), (4,)]),
+    "feed_forward": (T.feed_forward, [(2, 3), (3,), (3,), (3, 4), (4,), (4, 3), (3,)]),
+    "layer_norm": (T.layer_norm, [(2, 3), (3,), (3,)]),
+    "attention_probs": (lambda q, k: T.attention_probs(q, k, 0.5), [(2, 3, 4), (2, 5, 4)]),
+    "concat": (lambda *parts: T.concat(parts, axis=0), [(2, 3), (1, 3)]),
+}
+
+
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("odd", [0, -1])
+@pytest.mark.parametrize("op", list(_MULTI_INPUT_OPS))
+def test_every_multi_input_op_rejects_mixed_dtypes(op, odd, taped):
+    # one float64 input among float32 ones, first or last: the op names
+    # itself in the error and puts nothing on the tape
+    fn, shapes = _MULTI_INPUT_OPS[op]
+    rng = np.random.default_rng(0)
+    dtypes = [np.float32] * len(shapes)
+    dtypes[odd] = np.float64
+    inputs = [T.Tensor(rng.standard_normal(s), requires_grad=taped, dtype=d) for s, d in zip(shapes, dtypes)]
+    with T.Tape() as tape:
+        with pytest.raises(ContractError, match=f"^{op}: mixed dtypes"):
+            fn(*inputs)
+    assert tape.entries == []
+
+
 _TRAIN_STEP_FAULTS = """
 import resource
 
