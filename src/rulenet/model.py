@@ -185,8 +185,10 @@ class TransformerLayer:
     and keys/values from [memory; x] jointly (both pre-normalized by the
     same layer norm). Memory and x are projected apart and their keys and
     values concatenated, so x may be [tokens, e] that every row shares: its
-    layer norm and projections then run once, not once per row. The
-    feed-forward block (norm_ff, ff1, GELU, ff2) is one tensor.feed_forward.
+    layer norm and projections then run once, not once per row. The heads'
+    attention is one tensor.attention, and the feed-forward block (norm_ff,
+    ff1, GELU, ff2) one tensor.feed_forward. attention_block and ff_block
+    each return the layer's state after one residual.
     """
 
     def __init__(self, embed_dim: int, n_heads: int, hidden_dim: int, rng, dtype):
@@ -201,24 +203,11 @@ class TransformerLayer:
         self.ff1 = Linear(embed_dim, hidden_dim, rng, dtype)
         self.ff2 = Linear(hidden_dim, embed_dim, rng, dtype)
 
-    def _split_heads(self, t: T.Tensor) -> T.Tensor:
-        rows, tokens, _ = t.shape
-        head_dim = self.embed_dim // self.n_heads
-        return T.transpose(
-            T.reshape(t, (rows, tokens, self.n_heads, head_dim)), (0, 2, 1, 3)
-        )
-
-    def _attend(self, q: T.Tensor, k: T.Tensor, v: T.Tensor) -> T.Tensor:
-        """Multi-head attention of projected queries [rows, n_q, e] over
-        projected keys and values [rows, n_kv, e], through the output projection."""
-        rows, n_q_tokens, _ = q.shape
-        head_dim = self.embed_dim // self.n_heads
-        probs = T.attention_probs(self._split_heads(q), self._split_heads(k), 1.0 / math.sqrt(head_dim))
-        ctx = T.matmul(probs, self._split_heads(v))  # [rows, heads, tokens, head_dim]
-        merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (rows, n_q_tokens, self.embed_dim))
-        return self.wo(merged)
-
     def __call__(self, x: T.Tensor, memory: Optional[T.Tensor], p_drop: float, rng) -> T.Tensor:
+        return self.ff_block(self.attention_block(x, memory, p_drop, rng), p_drop, rng)
+
+    def attention_block(self, x: T.Tensor, memory: Optional[T.Tensor], p_drop: float, rng) -> T.Tensor:
+        """x plus the dropped-out attention block: the first residual."""
         # each activation is dropped as soon as the layer is done with it:
         # what the backward needs of it, the tape keeps
         h = self.norm_attn(x)
@@ -231,12 +220,19 @@ class TransformerLayer:
             k = T.concat([self.wk(m), k], axis=1)
             v = T.concat([self.wv(m), v], axis=1)
             del m
-        x = T.add(x, T.dropout(self._attend(q, k, v), p_drop, rng))
-        del q, k, v
+        return T.add(x, T.dropout(self._attend(q, k, v), p_drop, rng))
+
+    def _attend(self, q: T.Tensor, k: T.Tensor, v: T.Tensor) -> T.Tensor:
+        """Multi-head attention of projected queries [rows, n_q, e] over
+        projected keys and values [rows, n_kv, e], through the output projection."""
+        head_dim = self.embed_dim // self.n_heads
+        return self.wo(T.attention(q, k, v, self.n_heads, 1.0 / math.sqrt(head_dim)))
+
+    def ff_block(self, x: T.Tensor, p_drop: float, rng) -> T.Tensor:
+        """x plus the dropped-out feed-forward block: the second residual."""
         norm, ff1, ff2 = self.norm_ff, self.ff1, self.ff2
         f = T.feed_forward(x, norm.gain, norm.bias, ff1.weight, ff1.bias, ff2.weight, ff2.bias)
-        f = T.dropout(f, p_drop, rng)
-        return T.add(x, f)
+        return T.add(x, T.dropout(f, p_drop, rng))
 
     def parameters(self, prefix: str):
         for name, lin in (
@@ -254,6 +250,15 @@ class TransformerLayer:
 
 # ---------------------------------------------------------------------------
 # the model
+
+
+def _run_layers(layers, x: T.Tensor, memory: Optional[T.Tensor], p_drop: float, rng) -> T.Tensor:
+    """x through each layer in turn, a residual at a time, so that nothing
+    here holds a layer's input once its first residual has used it."""
+    for layer in layers:
+        x = layer.attention_block(x, memory, p_drop, rng)
+        x = layer.ff_block(x, p_drop, rng)
+    return x
 
 
 def _graph_dtype(dtype) -> type:
@@ -315,19 +320,13 @@ class RuleNetModel:
     # -- forward -----------------------------------------------------------
 
     def encoder_forward(self, embedded: T.Tensor, rng=None) -> T.Tensor:
-        x = embedded
-        for layer in self.encoder:
-            x = layer(x, None, self.config.transformer_dropout, rng)
-        return x
+        return _run_layers(self.encoder, embedded, None, self.config.transformer_dropout, rng)
 
     def decoder_forward(self, encoded: T.Tensor, rules: T.Tensor, rng=None) -> T.Tensor:
         """The rule stack [rows, N, e]. The rule tokens [N, e] are the same for
         every row until they first attend, so layer 0 takes them as they are
         and runs its rule-side layer norm and projections once per batch."""
-        x = rules
-        for layer in self.decoder:
-            x = layer(x, encoded, self.config.transformer_dropout, rng)
-        return x
+        return _run_layers(self.decoder, rules, encoded, self.config.transformer_dropout, rng)
 
     def head_forward(self, decoded: T.Tensor, rng=None) -> T.Tensor:
         pooled = T.maxpool(self.final_norm(decoded), axis=1)
@@ -412,9 +411,10 @@ def activation_bytes(schema: DatasetSchema, config: RuleNetConfig, rows: int, dt
 
     It counts a rule-mask record whenever rule_mask_rate > 0 (a step that
     draws no masked rule keeps N * (8 + 2 * itemsize) bytes less), and a
-    dropout mask wherever the rate is above 0.
+    dropout mask wherever the rate is above 0. A dtype that RuleNetModel
+    refuses is the same ConfigError here.
     """
-    s = np.dtype(dtype).itemsize
+    s = np.dtype(_graph_dtype(dtype)).itemsize
     idx = np.dtype(np.int64).itemsize
     m, e, h, n = config.n_features, config.embed_dim, config.hidden_dim, config.n_rules
     drop = 2 * e if config.transformer_dropout > 0 else 0  # two bool masks per token
@@ -426,7 +426,6 @@ def activation_bytes(schema: DatasetSchema, config: RuleNetConfig, rows: int, dt
             own_rows * (e + 1) * s  # norm_attn: y and inv
             + own_rows * e * s  # the queries
             + 2 * rows * keys * e * s  # keys and values
-            + rows * config.n_heads * tokens * keys * s  # attention probabilities
             + rows * tokens * (e * s + drop)  # the merged heads and the dropout masks
             + rows * tokens * ((e + 1) * s + 2 * h * s)  # feed_forward: y, inv, d and a
         )

@@ -15,8 +15,9 @@ several:
 - `linear` (matmul plus bias over the collapsed leading axes) keeps its
   input, or, when that is a layer_norm output of the same tape, the norm's
   y, gain and bias, from which its VJP rebuilds the input;
-- `attention_probs` (softmax of scaled query-key scores) keeps q, k^T and
-  the probabilities;
+- `attention` (split heads, softmax of scaled query-key scores, the
+  probabilities' product with v, merged heads) keeps the heads' views of
+  q, k^T and v, and its VJP rebuilds the probabilities a part at a time;
 - `feed_forward` (layer_norm, linear, GELU, linear) keeps the norm's y and
   inv, GELU's derivative and GELU's output, which overwrites the first
   linear's output in place.
@@ -30,6 +31,7 @@ from __future__ import annotations
 import contextvars
 import ctypes
 import functools
+import math
 import os
 import platform
 import threading
@@ -941,62 +943,85 @@ def _column_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # attention
 
 
-def attention_probs(q: Tensor, k: Tensor, scale: float) -> Tensor:
-    """softmax(scale * q @ k^T) over the last axis, built in one buffer.
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tensor:
+    """Multi-head attention of q [rows, n_q, e] over k and v [rows, n_kv, e]:
+    per head, softmax(scale * q @ k^T) @ v, the heads merged back to [rows, n_q, e].
 
-    Bitwise equal to _softmax_fwd over scale(matmul(q, transpose(k))), but
-    the raw and the scaled scores are never kept: the VJP needs only q, k^T
-    and the probabilities.
+    Run in parts over rows (see _split), each with its probabilities in the
+    part's own scratch, with the calls of the unfused chain (split heads,
+    scores, softmax, a matmul with v, merge heads) on the same views, so the
+    bits are the chain's; the context is written straight into its merged
+    layout. The record keeps the heads' views of q, k^T and v, and the VJP
+    rebuilds each part's probabilities with the forward's calls: no array
+    of heads * n_q * n_kv values per row is kept, nor made whole.
     """
-    if q.data.ndim < 2 or k.data.ndim != q.data.ndim or k.data.shape[:-2] != q.data.shape[:-2]:
+    shapes = [t.data.shape for t in (q, k, v)]
+    if (any(len(shape) != 3 for shape in shapes) or len({(shape[0], shape[2]) for shape in shapes}) != 1
+            or shapes[1][1] != shapes[2][1] or n_heads < 1 or shapes[0][2] % n_heads):
         raise DimensionError(
-            f"attention_probs: q and k need the same batch axes, got {q.data.shape} and {k.data.shape}"
+            f"attention: q, k and v must be [rows, tokens, e] with the same rows and e, k and v "
+            f"the same tokens, and e a multiple of {n_heads} heads; got {shapes}"
         )
-    if q.data.shape[-1] != k.data.shape[-1]:
-        raise DimensionError(
-            f"attention_probs: q and k differ in width, {q.data.shape} and {k.data.shape}"
-        )
+    rows, n_q, e = shapes[0]
     s = float(scale)
-    q_d, kt = q.data, _swap_last(k.data)
-    p = np.empty(q_d.shape[:-1] + kt.shape[-1:], dtype=q_d.dtype)
-    sc = np.asarray(s, dtype=p.dtype)
-
-    def part(lo, hi):
-        ps = p[lo:hi]
-        np.matmul(q_d[lo:hi], kt[lo:hi], out=ps)
-        ps *= sc
-        _softmax_fwd(ps, out=ps)
-
-    _split(part, p.shape[0], _batched_size(p, q_d, kt))
-    return _emit("attention_probs", (q, k), p, (q_d, kt, p, s))
-
-
-def _batched_size(p: np.ndarray, *others: np.ndarray) -> int:
-    """The size _split is given for attention's parts, each a block of whole
-    score matrices: 0, so that it never splits, for a single matrix."""
-    return max(a.size for a in (p, *others)) if p.ndim > 2 else 0
-
-
-@_vjp("attention_probs")
-def _attention_probs_bwd(rec: OpRecord, g: np.ndarray):
-    q, kt, p, s = rec.ctx
-    q_t, k_t = rec.inputs
-    sc = np.asarray(s, dtype=p.dtype)
-    gq = np.empty(q.shape, dtype=p.dtype) if q_t.requires_grad else None
-    gkt = np.empty(kt.shape, dtype=p.dtype) if k_t.requires_grad else None
+    q_h, k_h, v_h = (_heads(t.data, n_heads) for t in (q, k, v))
+    kt = _swap_last(k_h)
+    out = np.empty((rows, n_q, e), dtype=q.dtype)
+    out_h, sc = _heads(out, n_heads), np.asarray(s, dtype=q.dtype)
 
     def part(lo, hi, buf):
-        ps = p[lo:hi]
-        gs = _softmax_vjp(g[lo:hi], ps, out=buf[: ps.size].reshape(ps.shape))
-        gs *= sc
-        if gq is not None:
-            np.matmul(gs, _swap_last(kt[lo:hi]), out=gq[lo:hi])
-        if gkt is not None:
-            np.matmul(_swap_last(q[lo:hi]), gs, out=gkt[lo:hi])
+        np.matmul(_attention_probs(q_h[lo:hi], kt[lo:hi], sc, buf), v_h[lo:hi], out=out_h[lo:hi])
 
-    n = p.shape[0]
-    _split(part, n, _batched_size(p, q, kt), scratch=(p.dtype, p.size // max(n, 1)))
-    return gq, None if gkt is None else _swap_last(gkt)
+    block = n_heads * n_q * kt.shape[-1]
+    _split(part, rows, max(rows * block, q.data.size, k.data.size), scratch=(q.dtype, block))
+    return _emit("attention", (q, k, v), out, (q_h, kt, v_h, s))
+
+
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """[rows, tokens, e] as a [rows, heads, tokens, e / heads] view."""
+    rows, tokens, e = x.shape
+    return x.reshape(rows, tokens, n_heads, e // n_heads).swapaxes(1, 2)
+
+
+def _attention_probs(q: np.ndarray, kt: np.ndarray, sc: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """softmax(sc * q @ kt) over the last axis, in the front of the flat buf."""
+    shape = q.shape[:-1] + kt.shape[-1:]
+    p = buf[: math.prod(shape)].reshape(shape)
+    np.matmul(q, kt, out=p)
+    p *= sc
+    return _softmax_fwd(p, out=p)
+
+
+@_vjp("attention")
+def _attention_bwd(rec: OpRecord, g: np.ndarray):
+    q, kt, v, s = rec.ctx
+    q_t, k_t, v_t = rec.inputs
+    rows, heads, n_q, _ = q.shape
+    n_kv = kt.shape[-1]
+    g = _heads(g, heads)
+    sc = np.asarray(s, dtype=g.dtype)
+    gq, gv = (np.empty(t.shape, dtype=g.dtype) if t.requires_grad else None for t in (q_t, v_t))
+    # contiguous, so that each GEMM writes its output with unit last stride
+    gkt = np.empty(kt.shape, dtype=g.dtype) if k_t.requires_grad else None
+    gq_h, gv_h = (None if a is None else _heads(a, heads) for a in (gq, gv))
+    block = heads * n_q * n_kv
+
+    def part(lo, hi, buf):
+        p = _attention_probs(q[lo:hi], kt[lo:hi], sc, buf)
+        gp = buf[p.size : 2 * p.size].reshape(p.shape)
+        np.matmul(g[lo:hi], _swap_last(v[lo:hi]), out=gp)
+        if gv_h is not None:
+            np.matmul(_swap_last(p), g[lo:hi], out=gv_h[lo:hi])
+        _softmax_vjp(gp, p, out=gp)
+        gp *= sc
+        if gq_h is not None:
+            np.matmul(gp, _swap_last(kt[lo:hi]), out=gq_h[lo:hi])
+        if gkt is not None:
+            np.matmul(_swap_last(q[lo:hi]), gp, out=gkt[lo:hi])
+
+    _split(part, rows, max(rows * block, g.size, kt.size), scratch=(g.dtype, 2 * block))
+    gk = None if gkt is None else _swap_last(gkt).swapaxes(1, 2).reshape(k_t.shape)
+    return gq, gk, gv
 
 
 # ---------------------------------------------------------------------------

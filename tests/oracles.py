@@ -14,9 +14,14 @@ sums from einsum. The numpy row statistics (add.reduce sums and a max per
 query) are what rulenet.tensor used before its einsum row sums and its
 shift per score matrix. The per-row decoder runs layer 0 on rule tokens broadcast to every
 row, the way RuleNetModel.decoder_forward did before that layer took the
-shared [N, e] tokens. `softmax` is a taped softmax op for the unfused
-chain that attention_probs is checked against: it runs rulenet.tensor's own
-softmax kernels and registers its VJP with the library's, as "softmax".
+shared [N, e] tokens. `attention_chain` is the taped chain that
+rulenet.tensor.attention fuses, as RuleNetModel ran it before: split heads,
+`attention_probs`, a matmul with v and merged heads. `attention_probs` is
+the fused scores-and-softmax op the library had before its attention
+became one record; it keeps its probabilities whole and registers its VJP
+with the library's, as "attention_probs". `softmax` is a taped softmax op
+for the unfused chain that attention_probs is checked against: it runs
+rulenet.tensor's own softmax kernels and registers its VJP as "softmax".
 `read_checkpoint` reads a format 3 checkpoint with struct, zlib and json
 alone, from the layout the rulenet.checkpoint docstring gives.
 """
@@ -46,7 +51,7 @@ from rulenet.data import (
     fit_quantiles,
     fit_target_normalizer,
 )
-from rulenet.errors import SchemaError
+from rulenet.errors import DimensionError, SchemaError
 
 from helpers import feature_rows
 
@@ -363,6 +368,81 @@ def _softmax_bwd(rec: T.OpRecord, g: np.ndarray):
     s, axis = rec.ctx
     gx = T._softmax_vjp(np.moveaxis(g, axis, -1), np.moveaxis(s, axis, -1))
     return (np.moveaxis(gx, -1, axis),)
+
+
+# ---------------------------------------------------------------------------
+# attention as the taped chain that rulenet.tensor.attention fuses
+
+
+def attention_probs(q: T.Tensor, k: T.Tensor, scale: float) -> T.Tensor:
+    """softmax(scale * q @ k^T) over the last axis, built in one buffer.
+
+    Bitwise equal to _softmax_fwd over scale(matmul(q, transpose(k))), but
+    the raw and the scaled scores are never kept: the VJP needs only q, k^T
+    and the probabilities.
+    """
+    if q.data.ndim < 2 or k.data.ndim != q.data.ndim or k.data.shape[:-2] != q.data.shape[:-2]:
+        raise DimensionError(
+            f"attention_probs: q and k need the same batch axes, got {q.data.shape} and {k.data.shape}"
+        )
+    if q.data.shape[-1] != k.data.shape[-1]:
+        raise DimensionError(
+            f"attention_probs: q and k differ in width, {q.data.shape} and {k.data.shape}"
+        )
+    s = float(scale)
+    q_d, kt = q.data, T._swap_last(k.data)
+    p = np.empty(q_d.shape[:-1] + kt.shape[-1:], dtype=q_d.dtype)
+    sc = np.asarray(s, dtype=p.dtype)
+
+    def part(lo, hi):
+        ps = p[lo:hi]
+        np.matmul(q_d[lo:hi], kt[lo:hi], out=ps)
+        ps *= sc
+        T._softmax_fwd(ps, out=ps)
+
+    T._split(part, p.shape[0], _batched_size(p, q_d, kt))
+    return T._emit("attention_probs", (q, k), p, (q_d, kt, p, s))
+
+
+def _batched_size(p: np.ndarray, *others: np.ndarray) -> int:
+    """The size _split is given for attention's parts, each a block of whole
+    score matrices: 0, so that it never splits, for a single matrix."""
+    return max(a.size for a in (p, *others)) if p.ndim > 2 else 0
+
+
+@T._vjp("attention_probs")
+def _attention_probs_bwd(rec: T.OpRecord, g: np.ndarray):
+    q, kt, p, s = rec.ctx
+    q_t, k_t = rec.inputs
+    sc = np.asarray(s, dtype=p.dtype)
+    gq = np.empty(q.shape, dtype=p.dtype) if q_t.requires_grad else None
+    gkt = np.empty(kt.shape, dtype=p.dtype) if k_t.requires_grad else None
+
+    def part(lo, hi, buf):
+        ps = p[lo:hi]
+        gs = T._softmax_vjp(g[lo:hi], ps, out=buf[: ps.size].reshape(ps.shape))
+        gs *= sc
+        if gq is not None:
+            np.matmul(gs, T._swap_last(kt[lo:hi]), out=gq[lo:hi])
+        if gkt is not None:
+            np.matmul(T._swap_last(q[lo:hi]), gs, out=gkt[lo:hi])
+
+    n = p.shape[0]
+    T._split(part, n, _batched_size(p, q, kt), scratch=(p.dtype, p.size // max(n, 1)))
+    return gq, None if gkt is None else T._swap_last(gkt)
+
+
+def attention_chain(q: T.Tensor, k: T.Tensor, v: T.Tensor, n_heads: int, scale: float) -> T.Tensor:
+    """T.attention as the chain of taped ops it replaces."""
+
+    def split_heads(t):  # a [rows, heads, tokens, head_dim] view
+        rows, tokens, e = t.shape
+        return T.transpose(T.reshape(t, (rows, tokens, n_heads, e // n_heads)), (0, 2, 1, 3))
+
+    rows, n_q, e = q.shape
+    probs = attention_probs(split_heads(q), split_heads(k), scale)
+    ctx = T.matmul(probs, split_heads(v))
+    return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (rows, n_q, e))
 
 
 # ---------------------------------------------------------------------------

@@ -95,9 +95,9 @@ def _primitive_cases():
         ("linear", T.linear, [arr(3, 4), arr(4, 5), arr(5)]),
         ("linear", T.linear, [arr(2, 3, 4), arr(4, 5), arr(5)]),
         (
-            "attention_probs",
-            lambda q, k: T.attention_probs(q, k, 0.8),
-            [arr(2, 3, 4), arr(2, 5, 4)],
+            "attention",
+            lambda q, k, v: T.attention(q, k, v, 2, 0.8),
+            [arr(2, 3, 4), arr(2, 5, 4), arr(2, 5, 4)],
         ),
         ("log_softmax", lambda x: T.log_softmax(x, axis=-1), [arr(3, 5)]),
         ("layer_norm", T.layer_norm, [arr(4, 6), arr(6), arr(6)]),
@@ -143,7 +143,7 @@ def test_criterion_1_gradient_correctness(capsys):
     started = time.perf_counter()
 
     # every primitive the library registers, against central differences (the
-    # test oracles register a softmax op of their own)
+    # test oracles register softmax and attention_probs ops of their own)
     cases = _primitive_cases()
     library = {name for name, vjp in T._BACKWARD.items() if vjp.__module__ == T.__name__}
     assert {name for name, _, _ in cases} == library, "primitive sweep incomplete"

@@ -483,6 +483,29 @@ def test_tape_holds_only_what_the_vjps_read():
     assert peak <= 1.5 * ctx_bytes, (peak, ctx_bytes)
 
 
+def test_no_record_keeps_attention_probabilities():
+    rows = 8
+    prep, enc = make_dataset(rows=rows, n_num=5, n_cat=0, n_quantiles=RuleNetConfig.n_quantiles)
+    cfg = RuleNetConfig.for_schema(prep.schema, n_rules=12)
+    model = RuleNetModel.build(prep, cfg, seed=0, dtype=np.float32)
+    batch = D.take_rows(enc, np.arange(rows))
+    with T.Tape() as tape:
+        batch_loss(model, batch, model.forward(batch, "train", rng=np.random.default_rng(0)))
+    h, m, n = cfg.n_heads, cfg.n_features, cfg.n_rules
+    probs = {rows * h * m * m, rows * h * n * (m + n)}  # the encoder's and the decoder's
+    sizes = {a.size for a in _arrays_reached([rec.ctx for rec in tape.entries]).values()}
+    assert "attention" in {rec.op for rec in tape.entries}
+    assert not probs & sizes
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int8, "no such dtype"])
+def test_activation_bytes_refuses_the_dtypes_a_model_refuses(dtype):
+    prep, _ = make_dataset(rows=4, n_num=2, n_cat=0)
+    cfg = RuleNetConfig.for_schema(prep.schema, n_quantiles=4)
+    with pytest.raises(ConfigError, match="dtype must be one of"):
+        activation_bytes(prep.schema, cfg, 4, dtype)
+
+
 @pytest.mark.parametrize(
     "rows,table,overrides,dtype",
     [
